@@ -5,8 +5,8 @@ resolved configuration, the seed, and digests of all input files.  Two runs
 with identical manifests (ignoring the duration field) produce byte-identical
 outputs.
 
-Exit codes: 0 success, 2 usage error, 3 simulation progress failure,
-4 estimation failure.
+Exit codes: 0 success, 1 parse or validation error, 2 usage error,
+3 simulation progress failure, 4 estimation failure.
 """
 
 from __future__ import annotations
@@ -130,7 +130,6 @@ def _cmd_learn(parser, args):
         "loglik": trace.loglik,
         "iterations": trace.iterations,
         "converged": trace.converged,
-        "clamp_events": trace.clamp_events,
         "untouched_links": trace.untouched_links,
     }
     if mode == SHARED:
@@ -205,8 +204,9 @@ def _cmd_influence(parser, args):
     table = _influence_table(parser, args, g)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("node,sigma,stderr\n")
+        sigma, stderr = table.sigma.tolist(), table.stderr.tolist()
         for v in range(g.node_count):
-            fh.write(f"{g.labels[v]},{table.sigma[v]!r},{table.stderr[v]!r}\n")
+            fh.write(f"{g.labels[v]},{sigma[v]!r},{stderr[v]!r}\n")
     _write_manifest(args.out, "influence", _config_dict(args), args.seed,
                     [args.graph, args.params], started)
     print(f"wrote influence table ({table.method}, {table.samples} samples) "
@@ -224,8 +224,9 @@ def _cmd_rank(parser, args):
         ranked = rank_by_score(table.sigma)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("rank,node,score\n")
-        for rank, v in enumerate(ranked.order, start=1):
-            fh.write(f"{rank},{g.labels[int(v)]},{ranked.scores[int(v)]!r}\n")
+        scores = ranked.scores.tolist()
+        for rank, v in enumerate(ranked.order.tolist(), start=1):
+            fh.write(f"{rank},{g.labels[v]},{scores[v]!r}\n")
     _write_manifest(args.out, "rank", _config_dict(args), args.seed,
                     [args.graph, args.params], started)
     print(f"wrote ranking ({args.method}) -> {args.out}")

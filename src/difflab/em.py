@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -68,7 +69,6 @@ class EmTrace:
     params_history: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
-    clamp_events: int = 0
     untouched_links: int = 0
 
 
@@ -100,76 +100,39 @@ class Responsibilities:
 # -- sufficient statistics ---------------------------------------------------
 
 
-class _AsicStats:
-    """Flattened (cascade, child, parent) structure for vectorized passes."""
+class _Stats:
+    """Flattened (cascade, child, parent) structure for vectorized passes.
 
-    __slots__ = ("dt", "group", "link", "n_groups", "n_plus",
-                 "fail_edges", "fail_dt", "fail_total", "entry_keys")
+    Activation block (both models): one group per non-initial activation,
+    from cascade ``group_m`` at node ``group_node`` with ``group_nb``
+    parents, and one entry per effective parent (edge ``link``, time gap
+    ``dt``, group ``group``).
 
-    def __init__(self, g, data):
-        dts, groups, links = [], [], []
-        entry_keys = []
-        fail_edges = []
-        fail_dts = []
-        gid = 0
-        for m, c in enumerate(data):
-            times = c._times
-            if not c.events:
-                continue
-            t0 = c.initial_time
-            for v, tv in c.events:
-                if tv == t0:
-                    continue
-                opened = False
-                for u in g.in_adj[v]:
-                    tu = times.get(u)
-                    if tu is None or tu >= tv:
-                        continue
-                    dts.append(tv - tu)
-                    groups.append(gid)
-                    links.append(g.edge_id(u, v))
-                    entry_keys.append((m, u, v))
-                    opened = True
-                if not opened:
-                    raise EstimationError(
-                        f"cascade {m}: node {v} activated at t={tv} with no "
-                        f"possible activator (zero-probability event)")
-                gid += 1
-            horizon = c.horizon
-            for u, tu in c.events:
-                for w in g.out_adj[u]:
-                    if w not in times:
-                        fail_edges.append(g.edge_id(u, w))
-                        fail_dts.append(horizon - tu)
-        self.dt = np.asarray(dts, dtype=np.float64)
-        self.group = np.asarray(groups, dtype=np.intp)
-        self.link = np.asarray(links, dtype=np.intp)
-        self.n_groups = gid
-        self.n_plus = len(dts)
-        self.fail_edges = np.asarray(fail_edges, dtype=np.intp)
-        self.fail_dt = np.asarray(fail_dts, dtype=np.float64)
-        self.fail_total = len(fail_edges)
-        self.entry_keys = entry_keys
+    Failure block (cascade model): one term per active node u and inactive
+    child w (edge ``fail_edges``, remaining window ``fail_dt``).
 
+    Frontier block (threshold model): one group per frontier node, from
+    cascade ``f_group_m`` at node ``f_group_node`` with ``f_group_nb``
+    parents of which ``f_group_k`` are active; one ``f_`` entry per active
+    parent (window ``f_dt``) and one ``i_`` entry per never-active parent.
 
-class _AsltStats:
-    """Activation terms plus frontier survival structure, flattened."""
+    The block a model does not use stays empty.  Entries follow cascade,
+    then node, then parent order, which fixes the order of every sum.
+    """
 
-    __slots__ = ("dt", "group", "link", "n_groups", "group_nb", "entry_keys",
+    __slots__ = ("edges", "dt", "group", "link", "n_groups", "n_plus",
+                 "group_m", "group_node", "group_nb",
+                 "fail_edges", "fail_dt", "fail_total",
                  "f_dt", "f_group", "f_link", "f_nb", "n_f_groups",
                  "f_group_nb", "f_group_k", "f_group_node", "f_group_m",
-                 "f_entry_keys", "i_link", "i_group", "i_entry_keys")
+                 "i_link", "i_group")
 
-    def __init__(self, g, data):
-        dts, groups, links = [], [], []
-        group_nb = []
-        entry_keys = []
-        f_dts, f_groups, f_links, f_nbs = [], [], [], []
+    def __init__(self, g, data, model):
+        dts, groups, links, group_m, group_node = [], [], [], [], []
+        fail_edges, fail_dts = [], []
+        f_dts, f_groups, f_links = [], [], []
         f_group_nb, f_group_k, f_group_node, f_group_m = [], [], [], []
-        f_entry_keys = []
-        i_links, i_groups, i_entry_keys = [], [], []
-        gid = 0
-        fgid = 0
+        i_links, i_groups = [], []
         for m, c in enumerate(data):
             times = c._times
             if not c.events:
@@ -178,6 +141,7 @@ class _AsltStats:
             for v, tv in c.events:
                 if tv == t0:
                     continue
+                gid = len(group_m)
                 opened = False
                 for u in g.in_adj[v]:
                     tu = times.get(u)
@@ -186,87 +150,107 @@ class _AsltStats:
                     dts.append(tv - tu)
                     groups.append(gid)
                     links.append(g.edge_id(u, v))
-                    entry_keys.append((m, u, v))
                     opened = True
                 if not opened:
                     raise EstimationError(
                         f"cascade {m}: node {v} activated at t={tv} with no "
                         f"possible activator (zero-probability event)")
-                group_nb.append(len(g.in_adj[v]))
-                gid += 1
+                group_m.append(m)
+                group_node.append(v)
             horizon = c.horizon
+            if model == "asic":
+                for u, tu in c.events:
+                    for w in g.out_adj[u]:
+                        if w not in times:
+                            fail_edges.append(g.edge_id(u, w))
+                            fail_dts.append(horizon - tu)
+                continue
             for v in sorted(frontier(g, c)):
-                nb = len(g.in_adj[v])
+                fgid = len(f_group_m)
                 k = 0
                 for u in g.in_adj[v]:
                     tu = times.get(u)
                     if tu is None:
                         i_links.append(g.edge_id(u, v))
                         i_groups.append(fgid)
-                        i_entry_keys.append((m, u, v))
                         continue
                     f_dts.append(horizon - tu)
                     f_groups.append(fgid)
                     f_links.append(g.edge_id(u, v))
-                    f_nbs.append(nb)
-                    f_entry_keys.append((m, u, v))
                     k += 1
-                f_group_nb.append(nb)
+                f_group_nb.append(len(g.in_adj[v]))
                 f_group_k.append(k)
                 f_group_node.append(v)
                 f_group_m.append(m)
-                fgid += 1
+        self.edges = g.edges
         self.dt = np.asarray(dts, dtype=np.float64)
         self.group = np.asarray(groups, dtype=np.intp)
         self.link = np.asarray(links, dtype=np.intp)
-        self.n_groups = gid
-        self.group_nb = np.asarray(group_nb, dtype=np.float64)
-        self.entry_keys = entry_keys
+        self.n_groups = len(group_m)
+        self.n_plus = len(dts)
+        self.group_m = np.asarray(group_m, dtype=np.intp)
+        self.group_node = np.asarray(group_node, dtype=np.intp)
+        self.group_nb = np.asarray([len(g.in_adj[v]) for v in group_node],
+                                   dtype=np.float64)
+        self.fail_edges = np.asarray(fail_edges, dtype=np.intp)
+        self.fail_dt = np.asarray(fail_dts, dtype=np.float64)
+        self.fail_total = len(fail_edges)
         self.f_dt = np.asarray(f_dts, dtype=np.float64)
         self.f_group = np.asarray(f_groups, dtype=np.intp)
         self.f_link = np.asarray(f_links, dtype=np.intp)
-        self.f_nb = np.asarray(f_nbs, dtype=np.float64)
-        self.n_f_groups = fgid
+        self.n_f_groups = len(f_group_m)
         self.f_group_nb = np.asarray(f_group_nb, dtype=np.float64)
+        self.f_nb = self.f_group_nb[self.f_group]
         self.f_group_k = np.asarray(f_group_k, dtype=np.float64)
         self.f_group_node = np.asarray(f_group_node, dtype=np.intp)
-        self.f_group_m = f_group_m
-        self.f_entry_keys = f_entry_keys
+        self.f_group_m = np.asarray(f_group_m, dtype=np.intp)
         self.i_link = np.asarray(i_links, dtype=np.intp)
         self.i_group = np.asarray(i_groups, dtype=np.intp)
-        self.i_entry_keys = i_entry_keys
+
+    def keys(self, group_m, group, link):
+        """(cascade, parent, child) of each entry of one block, given the
+        block's per-group cascades and its entries' groups and edges."""
+        edges = self.edges
+        return [(m, *edges[e])
+                for m, e in zip(group_m[group].tolist(), link.tolist())]
+
+    def check_density(self, dens):
+        """Raise on an activation whose density underflowed to 0."""
+        zero = dens == 0.0
+        if zero.any():
+            bad = int(np.argmax(zero))
+            raise EstimationError(
+                f"cascade {self.group_m[bad]}: activation density of node "
+                f"{self.group_node[bad]} underflowed to 0")
 
 
-# -- cascade model: E, M, loglik ----------------------------------------------
+# -- E and M passes ---------------------------------------------------------
+#
+# theta = (strength, rate): two scalars in shared mode, two edge-indexed
+# vectors in per-link mode.  An E pass returns (terms, loglik); an M pass
+# maps (terms, theta) to the next theta.
 
 
-def _asic_expand(g, stats, params):
-    """Per-entry (p, r) arrays plus failure-term p array."""
-    if params.mode == SHARED:
-        return params.p, params.r, np.full(stats.fail_total, params.p)
-    p_vec = np.asarray([params.p[e] for e in g.edges])
-    r_vec = np.asarray([params.r[e] for e in g.edges])
-    return p_vec[stats.link], r_vec[stats.link], p_vec[stats.fail_edges]
-
-
-def _asic_e(stats, p_arr, r_arr, fail_p, fail_r=None, finite=False):
-    """Responsibilities and log-likelihood at the given parameters.
+def _asic_e(stats, theta, finite=False):
+    """Cascade-model terms (alpha, beta, beta_fail) and log-likelihood.
 
     With ``finite=True`` each observed non-activation keeps the within-window
     survival factor p*exp(-r*(T - t)) + (1 - p) instead of its T -> inf limit
     (1 - p); ``beta_fail`` is then the posterior mass of "succeeded but still
     pending at the horizon".
     """
+    p, r = theta
+    if isinstance(p, np.ndarray):
+        p_arr, r_arr, fail_p = p[stats.link], r[stats.link], p[stats.fail_edges]
+        fail_r = r[stats.fail_edges] if finite else None
+    else:
+        p_arr, r_arr, fail_p, fail_r = p, r, np.full(stats.fail_total, p), r
     ee = np.exp(-r_arr * stats.dt)
     pe = p_arr * ee
     y = pe + (1.0 - p_arr)
     w = r_arr * pe / y
     group_sum = np.bincount(stats.group, weights=w, minlength=stats.n_groups)
-    if np.any(group_sum == 0.0):
-        bad = int(np.argmax(group_sum == 0.0))
-        m, u, v = stats.entry_keys[int(np.argmax(stats.group == bad))]
-        raise EstimationError(
-            f"cascade {m}: activation density of node {v} underflowed to 0")
+    stats.check_density(group_sum)
     alpha = w / group_sum[stats.group]
     beta = pe / y
     if finite:
@@ -280,10 +264,11 @@ def _asic_e(stats, p_arr, r_arr, fail_p, fail_r=None, finite=False):
             fail_ll = np.log1p(-fail_p).sum()
     with np.errstate(divide="ignore"):
         ll = float(np.log(y).sum() + np.log(group_sum).sum() + fail_ll)
-    return alpha, beta, beta_fail, ll
+    return (alpha, beta, beta_fail), ll
 
 
-def _asic_m_shared(stats, alpha, beta, beta_fail=None):
+def _asic_m_shared(stats, terms, theta):
+    alpha, beta, beta_fail = terms
     gamma = alpha + (1.0 - alpha) * beta
     den_r = float((gamma * stats.dt).sum())
     num_p = float(gamma.sum())
@@ -295,8 +280,10 @@ def _asic_m_shared(stats, alpha, beta, beta_fail=None):
     return _clamp_prob(p_new), _clamp_rate(r_new)
 
 
-def _asic_m_per_link(n_edges, stats, alpha, beta, p_vec, r_vec,
-                     beta_fail=None):
+def _asic_m_per_link(stats, terms, theta):
+    alpha, beta, beta_fail = terms
+    p_vec, r_vec = theta
+    n_edges = len(p_vec)
     gamma = alpha + (1.0 - alpha) * beta
     num_r = np.bincount(stats.link, weights=alpha, minlength=n_edges)
     den_r = np.bincount(stats.link, weights=gamma * stats.dt,
@@ -319,17 +306,13 @@ def _asic_m_per_link(n_edges, stats, alpha, beta, p_vec, r_vec,
     return p_new, r_new
 
 
-# -- threshold model: E, M, loglik ----------------------------------------------
-
-
-def _aslt_e_shared(stats, q, r):
+def _aslt_e_shared(stats, theta):
+    """Threshold-model terms (phi, psi, varphi_slack, varphi_inact, gvals)
+    and log-likelihood; ``varphi_inact`` is per frontier group."""
+    q, r = theta
     e_h = np.exp(-r * stats.dt)
     h_sum = np.bincount(stats.group, weights=e_h, minlength=stats.n_groups)
-    if np.any(h_sum == 0.0):
-        bad = int(np.argmax(h_sum == 0.0))
-        m, u, v = stats.entry_keys[int(np.argmax(stats.group == bad))]
-        raise EstimationError(
-            f"cascade {m}: activation density of node {v} underflowed to 0")
+    stats.check_density(h_sum)
     phi = e_h / h_sum[stats.group]
     e_g = np.exp(-r * stats.f_dt)
     tail_sum = np.bincount(stats.f_group, weights=e_g,
@@ -344,19 +327,18 @@ def _aslt_e_shared(stats, q, r):
                    - np.log(stats.group_nb).sum()
                    + np.log(h_sum).sum()
                    + np.log(gvals).sum())
-    return phi, psi, varphi_slack, varphi_inact_total, gvals, ll
+    return (phi, psi, varphi_slack, varphi_inact_total, gvals), ll
 
 
-def _aslt_e_per_link(stats, q_vec, r_vec, slack_vec):
+def _aslt_e_per_link(stats, theta, slack_vec):
+    """Like ``_aslt_e_shared``, with ``varphi_inact`` per ``i_`` entry and
+    each node's slack weight from ``slack_vec``."""
+    q_vec, r_vec = theta
     q_arr = q_vec[stats.link]
     r_arr = r_vec[stats.link]
     term = q_arr * r_arr * np.exp(-r_arr * stats.dt)
     h_sum = np.bincount(stats.group, weights=term, minlength=stats.n_groups)
-    if np.any(h_sum == 0.0):
-        bad = int(np.argmax(h_sum == 0.0))
-        m, u, v = stats.entry_keys[int(np.argmax(stats.group == bad))]
-        raise EstimationError(
-            f"cascade {m}: activation density of node {v} underflowed to 0")
+    stats.check_density(h_sum)
     phi = term / h_sum[stats.group]
     rf = r_vec[stats.f_link]
     tail = q_vec[stats.f_link] * np.exp(-rf * stats.f_dt)
@@ -373,10 +355,12 @@ def _aslt_e_per_link(stats, q_vec, r_vec, slack_vec):
                     if stats.n_f_groups else np.zeros(0))
     with np.errstate(divide="ignore"):
         ll = float(np.log(h_sum).sum() + np.log(gvals).sum())
-    return phi, psi, varphi_inact, varphi_slack, gvals, ll
+    return (phi, psi, varphi_slack, varphi_inact, gvals), ll
 
 
-def _aslt_m_shared(stats, phi, psi, varphi_slack, varphi_inact_total, q, r):
+def _aslt_m_shared(stats, terms, theta):
+    phi, psi, varphi_slack, varphi_inact_total, _ = terms
+    q, r = theta
     a = stats.n_groups + float(psi.sum()) + float(varphi_inact_total.sum())
     b = float(varphi_slack.sum())
     q_new = a / (a + b) if (a + b) > 0 else q
@@ -385,15 +369,16 @@ def _aslt_m_shared(stats, phi, psi, varphi_slack, varphi_inact_total, q, r):
     return min(max(q_new, PROB_FLOOR), 1.0), _clamp_rate(r_new)
 
 
-def _aslt_m_per_link(g, stats, phi, psi, varphi_inact, varphi_slack,
-                     q_vec, r_vec, edge_target):
+def _aslt_m_per_link(stats, terms, theta, edge_target, n_nodes):
+    phi, psi, varphi_slack, varphi_inact, _ = terms
+    q_vec, r_vec = theta
     n_edges = len(q_vec)
     num_q = np.bincount(stats.link, weights=phi, minlength=n_edges)
     num_q += np.bincount(stats.f_link, weights=psi, minlength=n_edges)
     if len(stats.i_link):
         num_q += np.bincount(stats.i_link, weights=varphi_inact,
                              minlength=n_edges)
-    slack_num = np.zeros(g.node_count)
+    slack_num = np.zeros(n_nodes)
     if stats.n_f_groups:
         np.add.at(slack_num, stats.f_group_node, varphi_slack)
     node_tot = slack_num.copy()
@@ -421,21 +406,45 @@ def _clamp_rate(r):
     return min(max(r, RATE_FLOOR), RATE_CEIL)
 
 
-# -- fitting loop ---------------------------------------------------------------
+def _check_loglik(ll, iteration=None):
+    if not math.isfinite(ll):
+        at = "" if iteration is None else f" at iteration {iteration}"
+        raise EstimationError(f"non-finite log-likelihood{at} ({ll})")
 
 
-def _edge_vectors(g, params, model):
-    if model == "asic":
-        if params.mode == SHARED:
-            return (np.full(g.edge_count, params.p),
-                    np.full(g.edge_count, params.r))
-        return (np.asarray([params.p[e] for e in g.edges]),
+def _edge_target(g):
+    return np.asarray([v for _, v in g.edges], dtype=np.intp)
+
+
+def _to_theta(g, model, params, per_link):
+    """``(strength, rate)`` of ``params``: its shared scalars, or edge-indexed
+    vectors when ``per_link`` (a shared weight q splits as q / |B(v)|)."""
+    strength = params.p if model == "asic" else params.q
+    if not per_link:
+        return strength, params.r
+    if params.mode == PER_LINK:
+        return (np.asarray([strength[e] for e in g.edges]),
                 np.asarray([params.r[e] for e in g.edges]))
-    if params.mode == SHARED:
-        q_vec = np.asarray([params.q / len(g.in_adj[v]) for _, v in g.edges])
-        return q_vec, np.full(g.edge_count, params.r)
-    return (np.asarray([params.q[e] for e in g.edges]),
-            np.asarray([params.r[e] for e in g.edges]))
+    if model == "asic":
+        s_vec = np.full(g.edge_count, strength)
+    else:
+        s_vec = np.asarray([strength / len(g.in_adj[v]) for _, v in g.edges])
+    return s_vec, np.full(g.edge_count, params.r)
+
+
+def _to_params(g, model, theta):
+    """Parameters holding ``theta``; per-link weights are kept >= PROB_FLOOR."""
+    cls = AsicParams if model == "asic" else AsltParams
+    strength, r = theta
+    if not isinstance(strength, np.ndarray):
+        return cls.shared(strength, r)
+    if model == "aslt":
+        strength = np.maximum(strength, PROB_FLOOR)
+    return cls.per_link(dict(zip(g.edges, strength.tolist())),
+                        dict(zip(g.edges, r.tolist())))
+
+
+# -- fitting loop ---------------------------------------------------------------
 
 
 def fit(model: str, g, data, config: EmConfig | None = None,
@@ -468,69 +477,53 @@ def fit(model: str, g, data, config: EmConfig | None = None,
         if config.mode != SHARED:
             raise EstimationError("warm starts require shared mode")
         if model == "asic":
-            config = _replace_init(config, init_p=min(init_params.p,
-                                                      1.0 - 1e-9),
-                                   init_r=init_params.r)
+            config = replace(config, init_p=min(init_params.p, 1.0 - 1e-9),
+                             init_r=init_params.r)
         else:
-            config = _replace_init(config, init_q=init_params.q,
-                                   init_r=init_params.r)
+            config = replace(config, init_q=init_params.q,
+                             init_r=init_params.r)
+    stats = _Stats(g, data, model)
+    if stats.n_groups == 0:
+        raise EstimationError(
+            "no non-initial activations: nothing pins the delay rate")
+    shared = config.mode == SHARED
+    trace = EmTrace()
+    start = (AsicParams.shared(config.init_p, config.init_r)
+             if model == "asic"
+             else AsltParams.shared(config.init_q, config.init_r))
+    theta = _to_theta(g, model, start, per_link=not shared)
+    if not shared:
+        touched = np.zeros(g.edge_count, dtype=bool)
+        for links in (stats.link, stats.fail_edges, stats.f_link,
+                      stats.i_link):
+            touched[links] = True
+        trace.untouched_links = int(g.edge_count - touched.sum())
+
     if model == "asic":
-        return _fit_asic(g, data, config, horizon_mode == "finite")
-    return _fit_aslt(g, data, config)
-
-
-def _replace_init(config, **kw):
-    return EmConfig(init_p=kw.get("init_p", config.init_p),
-                    init_q=kw.get("init_q", config.init_q),
-                    init_r=kw.get("init_r", config.init_r),
-                    tolerance=config.tolerance,
-                    max_iterations=config.max_iterations,
-                    mode=config.mode)
-
-
-def _fit_asic(g, data, config, finite=False):
-    stats = _AsicStats(g, data)
-    if stats.n_groups == 0:
-        raise EstimationError(
-            "no non-initial activations: nothing pins the delay rate")
-    shared = config.mode == SHARED
-    n_edges = g.edge_count
-    trace = EmTrace()
-    if shared:
-        theta = (config.init_p, config.init_r)
+        e_pass = partial(_asic_e, stats, finite=horizon_mode == "finite")
+        m_pass = _asic_m_shared if shared else _asic_m_per_link
+    elif shared:
+        e_pass, m_pass = partial(_aslt_e_shared, stats), _aslt_m_shared
     else:
-        theta = (np.full(n_edges, config.init_p),
-                 np.full(n_edges, config.init_r))
-        touched = np.zeros(n_edges, dtype=bool)
-        touched[stats.link] = True
-        touched[stats.fail_edges] = True
-        trace.untouched_links = int(n_edges - touched.sum())
+        edge_target = _edge_target(g)
+
+        def e_pass(theta):
+            slack = np.ones(g.node_count)
+            np.subtract.at(slack, edge_target, theta[0])
+            return _aslt_e_per_link(stats, theta, np.maximum(slack, 0.0))
+
+        m_pass = partial(_aslt_m_per_link, edge_target=edge_target,
+                         n_nodes=g.node_count)
+
     trace.params_history.append(_snap(theta))
-
-    def e_pass(theta):
-        if shared:
-            p_arr, r_arr = theta
-            fail_p = np.full(stats.fail_total, theta[0])
-            fail_r = np.full(stats.fail_total, theta[1]) if finite else None
-        else:
-            p_arr = theta[0][stats.link]
-            r_arr = theta[1][stats.link]
-            fail_p = theta[0][stats.fail_edges]
-            fail_r = theta[1][stats.fail_edges] if finite else None
-        return _asic_e(stats, p_arr, r_arr, fail_p, fail_r, finite)
-
     for it in range(config.max_iterations):
-        alpha, beta, beta_fail, ll = e_pass(theta)
-        if not math.isfinite(ll):
-            raise EstimationError(
-                f"non-finite log-likelihood at iteration {it} ({ll})")
+        terms, ll = e_pass(theta)
+        _check_loglik(ll, it)
         trace.loglik.append(ll)
+        new = m_pass(stats, terms, theta)
         if shared:
-            new = _asic_m_shared(stats, alpha, beta, beta_fail)
             delta = abs(new[0] - theta[0]) + abs(new[1] - theta[1])
         else:
-            new = _asic_m_per_link(n_edges, stats, alpha, beta, *theta,
-                                   beta_fail=beta_fail)
             delta = float(np.abs(new[0] - theta[0]).sum()
                           + np.abs(new[1] - theta[1]).sum())
         theta = new
@@ -539,87 +532,8 @@ def _fit_asic(g, data, config, finite=False):
         if delta <= config.tolerance:
             trace.converged = True
             break
-
-    *_, ll = e_pass(theta)
-    trace.loglik.append(ll)
-    if shared:
-        params = AsicParams.shared(theta[0], theta[1])
-    else:
-        params = AsicParams.per_link(
-            {e: float(theta[0][i]) for i, e in enumerate(g.edges)},
-            {e: float(theta[1][i]) for i, e in enumerate(g.edges)})
-    return params, trace
-
-
-def _fit_aslt(g, data, config):
-    stats = _AsltStats(g, data)
-    if stats.n_groups == 0:
-        raise EstimationError(
-            "no non-initial activations: nothing pins the delay rate")
-    shared = config.mode == SHARED
-    n_edges = g.edge_count
-    edge_target = np.asarray([v for _, v in g.edges], dtype=np.intp)
-    trace = EmTrace()
-    if shared:
-        theta = (config.init_q, config.init_r)
-    else:
-        q_vec = np.asarray([config.init_q / len(g.in_adj[v])
-                            for _, v in g.edges])
-        theta = (q_vec, np.full(n_edges, config.init_r))
-        touched = np.zeros(n_edges, dtype=bool)
-        touched[stats.link] = True
-        touched[stats.f_link] = True
-        if len(stats.i_link):
-            touched[stats.i_link] = True
-        trace.untouched_links = int(n_edges - touched.sum())
-    trace.params_history.append(_snap(theta))
-
-    def slack_of(q_vec):
-        s = np.ones(g.node_count)
-        np.subtract.at(s, edge_target, q_vec)
-        return np.maximum(s, 0.0)
-
-    for it in range(config.max_iterations):
-        if shared:
-            phi, psi, vslack, vinact_total, _, ll = _aslt_e_shared(
-                stats, theta[0], theta[1])
-        else:
-            phi, psi, vinact, vslack, _, ll = _aslt_e_per_link(
-                stats, theta[0], theta[1], slack_of(theta[0]))
-        if not math.isfinite(ll):
-            raise EstimationError(
-                f"non-finite log-likelihood at iteration {it} ({ll})")
-        trace.loglik.append(ll)
-        if shared:
-            new = _aslt_m_shared(stats, phi, psi, vslack, vinact_total,
-                                 theta[0], theta[1])
-            delta = abs(new[0] - theta[0]) + abs(new[1] - theta[1])
-        else:
-            new = _aslt_m_per_link(g, stats, phi, psi, vinact, vslack,
-                                   theta[0], theta[1], edge_target)
-            delta = float(np.abs(new[0] - theta[0]).sum()
-                          + np.abs(new[1] - theta[1]).sum())
-        theta = new
-        trace.params_history.append(_snap(theta))
-        trace.iterations = it + 1
-        if delta <= config.tolerance:
-            trace.converged = True
-            break
-
-    if shared:
-        *_, ll = _aslt_e_shared(stats, theta[0], theta[1])
-    else:
-        *_, ll = _aslt_e_per_link(stats, theta[0], theta[1],
-                                  slack_of(theta[0]))
-    trace.loglik.append(ll)
-    if shared:
-        params = AsltParams.shared(theta[0], theta[1])
-    else:
-        params = AsltParams.per_link(
-            {e: max(float(theta[0][i]), PROB_FLOOR)
-             for i, e in enumerate(g.edges)},
-            {e: float(theta[1][i]) for i, e in enumerate(g.edges)})
-    return params, trace
+    trace.loglik.append(e_pass(theta)[1])
+    return _to_params(g, model, theta), trace
 
 
 def _snap(theta):
@@ -634,90 +548,72 @@ def _snap(theta):
 
 def e_step_asic(g, data, params) -> Responsibilities:
     """Responsibilities of the cascade model at the given parameters."""
-    stats = _AsicStats(g, data)
-    p_arr, r_arr, fail_p = _asic_expand(g, stats, params)
-    alpha, beta, _, ll = _asic_e(stats, p_arr, r_arr, fail_p)
-    if not math.isfinite(ll):
-        raise EstimationError(f"non-finite log-likelihood ({ll})")
-    resp = Responsibilities(model="asic")
-    for i, key in enumerate(stats.entry_keys):
-        resp.alpha[key] = float(alpha[i])
-        resp.beta[key] = float(beta[i])
-    resp._ctx = (stats, alpha, beta, params)
-    return resp
+    stats = _Stats(g, data, "asic")
+    terms, ll = _asic_e(stats, _to_theta(g, "asic", params,
+                                         params.mode == PER_LINK))
+    _check_loglik(ll)
+    alpha, beta, _ = terms
+    keys = stats.keys(stats.group_m, stats.group, stats.link)
+    return Responsibilities(model="asic",
+                            alpha=dict(zip(keys, alpha.tolist())),
+                            beta=dict(zip(keys, beta.tolist())),
+                            _ctx=(stats, terms, params))
 
 
 def m_step_asic(g, data, resp: Responsibilities, mode: str = SHARED):
     """One closed-form update from cascade-model responsibilities."""
-    stats, alpha, beta, params = resp._ctx
+    stats, terms, params = resp._ctx
     if mode == SHARED:
-        p_new, r_new = _asic_m_shared(stats, alpha, beta)
-        return AsicParams.shared(p_new, r_new)
-    p_vec, r_vec = _edge_vectors(g, params, "asic")
-    p_new, r_new = _asic_m_per_link(g.edge_count, stats, alpha, beta,
-                                    p_vec.copy(), r_vec.copy())
-    return AsicParams.per_link(
-        {e: float(p_new[i]) for i, e in enumerate(g.edges)},
-        {e: float(r_new[i]) for i, e in enumerate(g.edges)})
+        return _to_params(g, "asic", _asic_m_shared(stats, terms, None))
+    theta = _to_theta(g, "asic", params, per_link=True)
+    return _to_params(g, "asic", _asic_m_per_link(stats, terms, theta))
 
 
 def e_step_aslt(g, data, params) -> Responsibilities:
     """Responsibilities of the threshold model at the given parameters."""
-    stats = _AsltStats(g, data)
-    resp = Responsibilities(model="aslt")
+    stats = _Stats(g, data, "aslt")
     if params.mode == SHARED:
-        phi, psi, vslack, _, gvals, ll = _aslt_e_shared(
-            stats, params.q, params.r)
-        q = params.q
-        for i, key in enumerate(stats.i_entry_keys):
-            fg = stats.i_group[i]
-            resp.varphi[key] = float(
-                (q / stats.f_group_nb[fg]) / gvals[fg])
-        vinact = None
+        terms, ll = _aslt_e_shared(stats, (params.q, params.r))
+        gvals = terms[4]
+        varphi_inact = ((params.q / stats.f_group_nb[stats.i_group])
+                        / gvals[stats.i_group])
     else:
-        q_vec, r_vec = _edge_vectors(g, params, "aslt")
         slack_vec = np.asarray([params.slack(g, v)
                                 for v in range(g.node_count)])
-        phi, psi, vinact, vslack, gvals, ll = _aslt_e_per_link(
-            stats, q_vec, r_vec, slack_vec)
-        for i, key in enumerate(stats.i_entry_keys):
-            resp.varphi[key] = float(vinact[i])
-    if not math.isfinite(ll):
-        raise EstimationError(f"non-finite log-likelihood ({ll})")
-    for fg in range(stats.n_f_groups):
-        v = int(stats.f_group_node[fg])
-        m = stats.f_group_m[fg]
-        resp.varphi[(m, v, v)] = float(vslack[fg])
-    for i, key in enumerate(stats.entry_keys):
-        resp.phi[key] = float(phi[i])
-    for i, key in enumerate(stats.f_entry_keys):
-        resp.psi[key] = float(psi[i])
-    resp._ctx = (stats, phi, psi, vslack, vinact, params)
-    return resp
+        terms, ll = _aslt_e_per_link(
+            stats, _to_theta(g, "aslt", params, per_link=True), slack_vec)
+        varphi_inact = terms[3]
+    _check_loglik(ll)
+    phi, psi, varphi_slack = terms[:3]
+    varphi = dict(zip(stats.keys(stats.f_group_m, stats.i_group,
+                                 stats.i_link), varphi_inact.tolist()))
+    for m, v, val in zip(stats.f_group_m.tolist(),
+                         stats.f_group_node.tolist(), varphi_slack.tolist()):
+        varphi[(m, v, v)] = val
+    return Responsibilities(
+        model="aslt",
+        phi=dict(zip(stats.keys(stats.group_m, stats.group, stats.link),
+                     phi.tolist())),
+        varphi=varphi,
+        psi=dict(zip(stats.keys(stats.f_group_m, stats.f_group,
+                                stats.f_link), psi.tolist())),
+        _ctx=(stats, terms, varphi_inact, params))
 
 
 def m_step_aslt(g, data, resp: Responsibilities, mode: str = SHARED):
     """One closed-form update from threshold-model responsibilities."""
-    stats, phi, psi, vslack, vinact, params = resp._ctx
+    stats, terms, varphi_inact, params = resp._ctx
     if mode == SHARED:
         if params.mode != SHARED:
             raise EstimationError(
                 "shared update requires shared-mode responsibilities")
-        _, _, _, vinact_total, _, _ = _aslt_e_shared(stats, params.q,
-                                                     params.r)
-        q_new, r_new = _aslt_m_shared(stats, phi, psi, vslack, vinact_total,
-                                      params.q, params.r)
-        return AsltParams.shared(q_new, r_new)
-    edge_target = np.asarray([v for _, v in g.edges], dtype=np.intp)
-    q_vec, r_vec = _edge_vectors(g, params, "aslt")
-    if vinact is None:
-        # Shared-mode responsibilities feeding a per-link update.
-        vinact = np.asarray([resp.varphi[key] for key in stats.i_entry_keys])
-    q_new, r_new = _aslt_m_per_link(g, stats, phi, psi, vinact, vslack,
-                                    q_vec, r_vec, edge_target)
-    return AsltParams.per_link(
-        {e: max(float(q_new[i]), PROB_FLOOR) for i, e in enumerate(g.edges)},
-        {e: float(r_new[i]) for i, e in enumerate(g.edges)})
+        return _to_params(g, "aslt", _aslt_m_shared(stats, terms,
+                                                    (params.q, params.r)))
+    # Shared-mode terms hold per-group totals; the update needs per entry.
+    terms = terms[:3] + (varphi_inact, None)
+    theta = _to_theta(g, "aslt", params, per_link=True)
+    return _to_params(g, "aslt", _aslt_m_per_link(
+        stats, terms, theta, _edge_target(g), g.node_count))
 
 
 def param_error(estimate: float, truth: float) -> float:

@@ -8,9 +8,8 @@ with its diffusion probability, while the threshold model lets every node
 keep at most one incoming link, chosen with its weight.  Worlds are
 processed in blocks: each world draws from its own substream, and a block is
 stacked into one block-diagonal live graph solved with array operations.
-Results do not depend on the block size, nor on ``threads`` (up to the
-last bits of ``mean_stderr``, whose per-chunk sums are added in chunk
-order).  The direct estimator simply runs the full continuous-time
+Results do not depend on the block size, nor on ``threads``.  The direct
+estimator simply runs the full continuous-time
 simulation many times per seed; it is the slow oracle the percolation
 shortcut is validated against.
 """
@@ -147,13 +146,12 @@ def _block_reachable_sizes(n, worlds, world, live_u, live_v):
 
 
 def _percolation_partial(g, model, params, rng_seed, lo, hi):
-    """Sums over worlds [lo, hi): sizes, squared sizes, world means and
-    squared world means.
+    """Sums of sizes and of squared sizes over worlds [lo, hi), and the
+    mean size of each world.
 
     World w draws from its own substream ``(rng_seed, "percolation", w)``.
-    Worlds are processed in blocks of a fixed memory budget.  The world
-    means are added in world order and every other sum holds integers, so
-    the result does not depend on the block size.
+    Worlds are processed in blocks of a fixed memory budget.  The sums hold
+    integers, so the result does not depend on the block size.
     """
     n = g.node_count
     edge_u, edge_v = _edge_arrays(g)
@@ -170,8 +168,7 @@ def _percolation_partial(g, model, params, rng_seed, lo, hi):
     block = max(1, _BLOCK_BYTES // max(1, n * (row_bytes + _NODE_BYTES)))
     total = np.zeros(n)
     total_sq = np.zeros(n)
-    wmean_sum = 0.0
-    wmean_sq = 0.0
+    wmeans = np.empty(hi - lo)
     for b_lo in range(lo, hi, block):
         worlds = min(block, hi - b_lo)
         draws = np.empty((worlds, width))
@@ -190,10 +187,8 @@ def _percolation_partial(g, model, params, rng_seed, lo, hi):
                                        edge_v[chosen])
         total += sizes.sum(axis=0)
         total_sq += (sizes * sizes).sum(axis=0)
-        for wm in sizes.mean(axis=1).tolist():
-            wmean_sum += wm
-            wmean_sq += wm * wm
-    return total, total_sq, wmean_sum, wmean_sq
+        wmeans[b_lo - lo:b_lo - lo + worlds] = sizes.mean(axis=1)
+    return total, total_sq, wmeans
 
 
 def _mc_partial(g, model, params, delay, samples, rng_seed, node_lo, node_hi):
@@ -230,10 +225,8 @@ def influence_percolation(g, model: str, params, samples: int, rng_seed,
 
     Every world yields the reachable-set size of all nodes at once (strongly
     connected components of the live subgraph share their reachable set).
-    World substreams are indexed and worlds are summed in order, so results
-    do not depend on the block size or on ``threads``; only ``mean_stderr``
-    can differ in its last bits between ``threads`` values, since the
-    per-chunk sums of world means are added in chunk order.
+    World substreams are indexed and world means are summed in world order,
+    so results do not depend on the block size or on ``threads``.
     """
     if samples < 1:
         raise ParameterError("samples must be at least 1")
@@ -244,21 +237,25 @@ def influence_percolation(g, model: str, params, samples: int, rng_seed,
         from concurrent.futures import ProcessPoolExecutor
         total = np.zeros(n)
         total_sq = np.zeros(n)
-        wmean_sum = 0.0
-        wmean_sq = 0.0
+        parts = []
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(_percolation_partial, g, model, params,
                                    rng_seed, lo, hi)
                        for lo, hi in _chunk_ranges(samples, threads)]
             for fut in futures:
-                part, part_sq, pm, pm_sq = fut.result()
+                part, part_sq, part_means = fut.result()
                 total += part
                 total_sq += part_sq
-                wmean_sum += pm
-                wmean_sq += pm_sq
+                parts.append(part_means)
+        wmeans = np.concatenate(parts)
     else:
-        total, total_sq, wmean_sum, wmean_sq = _percolation_partial(
+        total, total_sq, wmeans = _percolation_partial(
             g, model, params, rng_seed, 0, samples)
+    wmean_sum = 0.0
+    wmean_sq = 0.0
+    for wm in wmeans.tolist():
+        wmean_sum += wm
+        wmean_sq += wm * wm
     sigma = total / samples
     var = np.maximum(total_sq / samples - sigma * sigma, 0.0)
     stderr = np.sqrt(var / samples)

@@ -37,6 +37,9 @@ class ObservationPeriods:
 
 @dataclass
 class SelectionReport:
+    """Scores of both models on one topic; ``skipped`` counts, per model,
+    the cutoffs whose truncated data could not be fitted."""
+
     topic: str
     score_asic: float
     score_aslt: float
@@ -44,7 +47,7 @@ class SelectionReport:
     chosen: str
     indeterminate: bool = False
     cutoffs: list = field(default_factory=list)
-    skipped: int = 0
+    skipped: dict = field(default_factory=dict)
 
 
 def build_observation_periods(data) -> ObservationPeriods:
@@ -140,7 +143,8 @@ def predictive_score(model, g, data, periods, em_config=None,
         total += math.inf if h == 0.0 else -math.log(h)
         n += 1
     if n == 0:
-        raise InsufficientDataError("no cutoff could be scored")
+        raise InsufficientDataError(
+            f"no cutoff could be scored for model {model}")
     return total / n
 
 
@@ -152,29 +156,21 @@ def select_model(g, data, em_config=None, topic="default",
     to the cascade model by convention.
     """
     periods = build_observation_periods(data)
-    per_model = {}
+    scores = {}
     rows = {}
     skipped = {}
     for model in ("asic", "aslt"):
-        total = 0.0
-        n = 0
-        skip = 0
-        for tau, node, t, h in _cutoff_terms(model, g, data, periods,
-                                             em_config, warm_start):
-            row = rows.setdefault(tau, {"tau": tau, "node": node, "time": t})
-            row[f"h_{model}"] = h
-            if node is None:
-                skip += 1
-                continue
-            total += math.inf if h == 0.0 else -math.log(h)
-            n += 1
-        if n == 0:
-            raise InsufficientDataError(
-                f"no cutoff could be scored for model {model}")
-        per_model[model] = total / n
-        skipped[model] = skip
-    score_asic = per_model["asic"]
-    score_aslt = per_model["aslt"]
+        details = []
+        scores[model] = predictive_score(model, g, data, periods, em_config,
+                                         warm_start, details)
+        for d in details:
+            row = rows.setdefault(d["tau"], {"tau": d["tau"],
+                                             "node": d["node"],
+                                             "time": d["time"]})
+            row[f"h_{model}"] = d["h"]
+        skipped[model] = sum(d["node"] is None for d in details)
+    score_asic = scores["asic"]
+    score_aslt = scores["aslt"]
     diff = score_aslt - score_asic  # positive favors the cascade model
     if math.isnan(diff):
         # Both scores infinite; nothing separates the models.
@@ -190,5 +186,5 @@ def select_model(g, data, em_config=None, topic="default",
         chosen=chosen,
         indeterminate=indeterminate,
         cutoffs=[rows[tau] for tau in periods.cutoffs],
-        skipped=max(skipped.values()),
+        skipped=skipped,
     )

@@ -72,6 +72,14 @@ class TestSimulate:
                   "--seed", "1", "--out", tmp_path / "x.jsonl"])
         assert exc.value.code == 2
 
+    def test_invalid_graph_exits_1(self, tmp_path):
+        graph = tmp_path / "loop.txt"
+        graph.write_text("0 1\n1 1\n")
+        rc = _run(["simulate", "--graph", graph, "--model", "asic",
+                   "--p", "0.3", "--r", "1.0", "--target-active", "5",
+                   "--seed", "5", "--out", tmp_path / "x.jsonl"])
+        assert rc == 1
+
     @pytest.mark.parametrize("delay", ["node-no", "node-ov"])
     def test_node_delay_variants(self, tmp_path, graph_file, delay):
         out = tmp_path / f"{delay}.jsonl"
@@ -113,6 +121,8 @@ class TestLearnSelect:
         assert sidecar["converged"]
         assert sidecar["E_p"] < 0.5 and sidecar["E_r"] < 0.5
         assert len(sidecar["loglik"]) == sidecar["iterations"] + 1
+        assert set(sidecar) == {"loglik", "iterations", "converged",
+                                "untouched_links", "E_p", "E_r"}
 
     def test_learn_estimation_failure_exits_4(self, tmp_path, graph_file):
         bad = tmp_path / "bad.jsonl"
@@ -210,6 +220,21 @@ class TestInfluenceRank:
                    "--out", out])
         assert rc == 0
         assert len(out.read_text().splitlines()) == 41
+
+    @pytest.mark.parametrize("command", ["influence", "rank"])
+    def test_csv_numbers_parse_as_floats(self, tmp_path, graph_file,
+                                         command):
+        out = tmp_path / "out.csv"
+        rc = _run([command, "--graph", graph_file, "--method", "percolation",
+                   "--model", "aslt", "--q", "0.8", "--r", "1.0",
+                   "--samples", "50", "--seed", "3", "--threads", "1",
+                   "--out", out])
+        assert rc == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 40
+        for row in rows:
+            for value in row.split(","):
+                float(value)
 
     def test_unknown_method_exits_2(self, tmp_path, graph_file):
         with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ from difflab import (AsicParams, AsltParams, Cascade, DelayMode,
                      e_step_asic, e_step_aslt, erdos_renyi, fit,
                      generate_training_set, load_params, loglik, m_step_asic,
                      m_step_aslt, param_error, save_params)
+from difflab.cascade import effective_parents, frontier
 from difflab.params import PER_LINK, SHARED
 from difflab.rng import derive_rng
 
@@ -171,6 +172,79 @@ class TestMStepAslt:
         params = m_step_aslt(g, [c], resp, mode=PER_LINK)
         assert params.r[(0, 1)] == pytest.approx(0.5)
         assert params.q[(0, 1)] == pytest.approx(1.0)
+
+
+def _random_data(seed, n=15, p_edge=0.25, count=5):
+    """A random graph and random cascades with no zero-probability event."""
+    g = erdos_renyi(n, p_edge, seed)
+    raw, _, _ = random_consistent_cascades(g, derive_rng(seed, "keys"), count)
+    return g, [Cascade(ev, hz) for ev, hz in raw]
+
+
+class TestStatsStructure:
+    """Responsibility keys and touched links against brute-force sets."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_keys_match_bruteforce(self, seed):
+        g, data = _random_data(seed)
+        act, front_act, front_inact, slack = set(), set(), set(), set()
+        for m, c in enumerate(data):
+            for v, _ in c.events:
+                act |= {(m, u, v) for u in effective_parents(g, c, v)}
+            for v in frontier(g, c):
+                front_act |= {(m, u, v) for u in effective_parents(g, c, v)}
+                front_inact |= {(m, u, v) for u in g.in_adj[v] if u not in c}
+                slack.add((m, v, v))
+        assert act and front_act and front_inact
+        for params in (AsicParams.shared(0.4, 1.2),
+                       AsicParams.per_link({e: 0.4 for e in g.edges},
+                                           {e: 1.2 for e in g.edges})):
+            resp = e_step_asic(g, data, params)
+            assert set(resp.alpha) == act
+            assert set(resp.beta) == act
+        for params in (AsltParams.shared(0.7, 1.1),
+                       AsltParams.per_link(
+                           {(u, v): 0.7 / len(g.in_adj[v]) for u, v in g.edges},
+                           {e: 1.1 for e in g.edges})):
+            resp = e_step_aslt(g, data, params)
+            assert set(resp.phi) == act
+            assert set(resp.psi) == front_act
+            assert set(resp.varphi) == front_inact | slack
+
+    @pytest.mark.parametrize("model", ["asic", "aslt"])
+    def test_untouched_links_match_bruteforce(self, model):
+        for seed in range(3):
+            g, data = _random_data(seed + 10, n=25, p_edge=0.1, count=3)
+            touched = set()
+            for c in data:
+                for v, _ in c.events:
+                    touched |= {(u, v) for u in effective_parents(g, c, v)}
+                if model == "asic":
+                    touched |= {(u, w) for u, _ in c.events
+                                for w in g.out_adj[u] if w not in c}
+                else:
+                    touched |= {(u, v) for v in frontier(g, c)
+                                for u in g.in_adj[v]}
+            _, trace = fit(model, g, data,
+                           EmConfig(max_iterations=1, mode=PER_LINK))
+            assert 0 < trace.untouched_links < g.edge_count
+            assert trace.untouched_links == g.edge_count - len(touched)
+
+    @pytest.mark.parametrize("model", ["asic", "aslt"])
+    def test_underflow_names_cascade_and_node(self, model):
+        # exp(-1000) underflows, so node 3's density in cascade 1 is 0.
+        g = DirectedGraph(4, [(0, 1), (2, 3)])
+        data = [Cascade([(0, 0.0), (1, 1.0)], 5.0),
+                Cascade([(2, 0.0), (3, 1000.0)], 1001.0)]
+        if model == "asic":
+            e_step, params = e_step_asic, AsicParams.shared(0.5, 1.0)
+        else:
+            e_step, params = e_step_aslt, AsltParams.shared(0.5, 1.0)
+        want = "cascade 1: activation density of node 3 underflowed"
+        with pytest.raises(EstimationError, match=want):
+            e_step(g, data, params)
+        with pytest.raises(EstimationError, match=want):
+            fit(model, g, data)
 
 
 class TestFitContract:

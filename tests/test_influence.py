@@ -7,7 +7,7 @@ from difflab import (AsicParams, AsltParams, DelayMode, DirectedGraph,
                      ParameterError, cumulative_influence, erdos_renyi,
                      influence_direct_mc, influence_percolation)
 import difflab.influence as influence_mod
-from difflab.influence import _block_reachable_sizes, _chunk_ranges
+from difflab.influence import _block_reachable_sizes
 from difflab.rng import derive_generator, derive_rng
 
 from oracles import (ClosureTables, exact_sigma_asic, exact_sigma_aslt,
@@ -167,14 +167,22 @@ class TestPerWorldEquivalence:
         samples = 500  # not a multiple of the block size at n=40
         table = influence_percolation(g, model, params, samples, 22,
                                       threads=threads)
-        chunks = (_chunk_ranges(samples, threads) if threads > 1
-                  else [(0, samples)])
+        # World means are summed in world order for any ``threads``, so
+        # the reference is a single chunk holding every world.
         sigma, stderr, mean_se = percolation_per_world(
             g, model, params, samples,
-            lambda w: derive_generator(22, "percolation", w), chunks)
+            lambda w: derive_generator(22, "percolation", w), [(0, samples)])
         assert table.sigma.tobytes() == sigma.tobytes()
         assert table.stderr.tobytes() == stderr.tobytes()
         assert table.mean_stderr == mean_se
+
+    @pytest.mark.parametrize("model", ["asic", "aslt"])
+    def test_mean_stderr_does_not_depend_on_threads(self, model):
+        g = erdos_renyi(40, 0.1, 21)
+        params = self._params(model)
+        one = influence_percolation(g, model, params, 500, 22, threads=1)
+        two = influence_percolation(g, model, params, 500, 22, threads=2)
+        assert one.mean_stderr == two.mean_stderr
 
     @pytest.mark.parametrize("model", ["asic", "aslt"])
     def test_block_size_does_not_change_results(self, model, monkeypatch):

@@ -95,6 +95,14 @@ class TestPredictiveScore:
         assert predictive_score("asic", None, None, None,
                                 None) == pytest.approx(4.0)
 
+    def test_no_scored_cutoff_names_the_model(self, monkeypatch):
+        def fake_terms(model, g, data, periods, config, warm_start=True):
+            yield 1.0, None, None, None
+        monkeypatch.setattr(select_mod, "_cutoff_terms", fake_terms)
+        with pytest.raises(InsufficientDataError,
+                           match="no cutoff could be scored for model aslt"):
+            predictive_score("aslt", None, None, None, None)
+
     def test_cold_start_matches_warm_start_at_tight_tolerance(self):
         g, c = _spread_cascade()
         periods = build_observation_periods([c])
@@ -128,6 +136,25 @@ class TestSelectModel:
         assert rep.indeterminate
         assert rep.chosen == "asic"
         assert rep.j == 0.0
+
+    def test_skipped_counted_per_model(self, monkeypatch):
+        def fake_terms(model, g, data, periods, config, warm_start=True):
+            yield 1.0, None, None, None
+            if model == "asic":
+                yield 2.0, 7, 2.0, math.exp(-2)
+            else:
+                yield 2.0, None, None, None
+            yield 3.0, 8, 3.0, math.exp(-1)
+        monkeypatch.setattr(select_mod, "_cutoff_terms", fake_terms)
+        monkeypatch.setattr(select_mod, "build_observation_periods",
+                            lambda data: select_mod.ObservationPeriods(
+                                [1.0, 2.0, 3.0], 0.5))
+        rep = select_model(None, None, None)
+        assert rep.skipped == {"asic": 1, "aslt": 2}
+        assert rep.cutoffs[1] == {"tau": 2.0, "node": 7, "time": 2.0,
+                                  "h_asic": math.exp(-2), "h_aslt": None}
+        assert rep.score_asic == pytest.approx(1.5)
+        assert rep.score_aslt == pytest.approx(1.0)
 
     def test_identifies_asic_truth_on_long_cascade(self):
         # Sparse regime (diffusion probability below 1/mean-degree) where a
