@@ -5,9 +5,17 @@ parameter learning, hold-out model selection, and influence-degree ranking
 for two contrasting diffusion mechanisms: a push-style independent-cascade
 model and a pull-style linear-threshold model, both with asynchronous
 exponential delays.
+
+Diagnostics (e.g. a fit stopped at its iteration cap) go to the ``difflab``
+logger, which has a ``NullHandler``: nothing is printed unless the
+application configures logging.
 """
 
+import logging as _logging
+
 __version__ = "0.1.0"
+
+_logging.getLogger(__name__).addHandler(_logging.NullHandler())
 
 from .cascade import (Cascade, CascadeSet, dumps_cascades, effective_parents,
                       frontier, loads_cascades, read_cascades, write_cascades)

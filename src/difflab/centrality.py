@@ -9,10 +9,10 @@ distribution.  All operate on unit edge lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import GraphValidationError, ParameterError
 
@@ -41,38 +41,94 @@ def rank_by_score(scores) -> RankedList:
 
 
 def _adjacency(g):
-    edges = g.edges
-    if not edges:
-        return sparse.csr_matrix((g.node_count, g.node_count))
-    u = np.asarray([e[0] for e in edges])
-    v = np.asarray([e[1] for e in edges])
-    return sparse.csr_matrix((np.ones(len(u)), (u, v)),
-                             shape=(g.node_count, g.node_count))
-
-
-def _distances(g):
-    return shortest_path(_adjacency(g), method="D", directed=True,
-                         unweighted=True)
+    """Unit-weight CSR adjacency, read straight off the sorted child lists."""
+    n = g.node_count
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, g.out_adj), dtype=np.intp, count=n),
+              out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(g.out_adj), dtype=np.intp,
+                          count=g.edge_count)
+    return sparse.csr_matrix((np.ones(g.edge_count), indices, indptr),
+                             shape=(n, n))
 
 
 def outdegree_scores(g):
-    return np.asarray([len(g.out_adj[v]) for v in range(g.node_count)],
-                      dtype=float)
+    return np.fromiter(map(len, g.out_adj), dtype=float, count=g.node_count)
+
+
+# Sources are swept in blocks whose working set stays near _BLOCK_BYTES.  Per
+# source, a block holds a depth row, an accumulator row and the BFS-level
+# entries (about _NODE_BYTES per node), and one level's sparse product with
+# its temporaries: at most one product term per edge, about _EDGE_BYTES each.
+# The scores do not depend on the block size.
+_BLOCK_BYTES = 1 << 24
+_NODE_BYTES = 32
+_EDGE_BYTES = 24
+
+
+def _source_blocks(adj):
+    n = adj.shape[0]
+    per_source = _NODE_BYTES * n + _EDGE_BYTES * adj.nnz
+    block = max(1, _BLOCK_BYTES // max(1, per_source))
+    return [(lo, min(lo + block, n)) for lo in range(0, n, block)]
+
+
+def _csr(b, n, r, c, data):
+    """A ``(b, n)`` sparse matrix from entries listed in row order."""
+    indptr = np.zeros(b + 1, dtype=np.intp)
+    np.cumsum(np.bincount(r, minlength=b), out=indptr[1:])
+    return sparse.csr_matrix((data, c, indptr), shape=(b, n))
+
+
+def _entries(m):
+    """Row, column and value arrays of a sparse matrix, in row order."""
+    r = np.repeat(np.arange(m.shape[0], dtype=np.int32), np.diff(m.indptr))
+    return r, m.indices, m.data
+
+
+def _bfs(adj, lo, hi):
+    """Level-synchronous BFS from the sources ``lo..hi-1`` at once.
+
+    Returns ``(depth, levels)``.  ``depth[i, v]`` is the distance from source
+    ``lo + i`` to v (-1 when unreachable).  ``levels[k]`` lists the pairs at
+    distance k as row, node and sigma (shortest-path count) arrays.  One
+    sparse product per level extends the frontier's path counts by one edge;
+    the new frontier is the product masked to unvisited pairs.
+    """
+    n = adj.shape[0]
+    b = hi - lo
+    depth = np.full((b, n), -1, dtype=np.int32)
+    r = np.arange(b, dtype=np.int32)
+    c = r + lo
+    sigma = np.ones(b)
+    depth[r, c] = 0
+    levels = []
+    while len(r):
+        levels.append((r, c, sigma))
+        r, c, sigma = _entries(_csr(b, n, r, c, sigma) @ adj)
+        new = depth[r, c] < 0
+        r, c, sigma = r[new], c[new], sigma[new]
+        depth[r, c] = len(levels)
+    return depth, levels
 
 
 def closeness_scores(g):
     """Reciprocal of the mean distance to all other nodes.
 
     Unreachable pairs count distance |V|: a finite surrogate that keeps the
-    ordering meaningful on disconnected graphs.
+    ordering meaningful on disconnected graphs.  Distances come from the
+    blocked BFS of ``betweenness_scores``: O(|V|·|E|) time, memory bounded
+    by one block of sources, scores independent of the block size.
     """
     n = g.node_count
     if n == 1:
         return np.zeros(1)
-    dist = _distances(g)
-    dist[~np.isfinite(dist)] = n
-    np.fill_diagonal(dist, 0.0)
-    mean_dist = dist.sum(axis=1) / (n - 1)
+    adj = _adjacency(g)
+    total = np.empty(n)
+    for lo, hi in _source_blocks(adj):
+        depth, _ = _bfs(adj, lo, hi)
+        total[lo:hi] = np.where(depth < 0, n, depth).sum(axis=1)
+    mean_dist = total / (n - 1)
     return 1.0 / np.maximum(mean_dist, 1e-300)
 
 
@@ -85,51 +141,42 @@ def betweenness_scores(g, normalized=False):
     two orderings usually agree closely.  Endpoints are excluded: a path
     s -> ... -> v -> ... -> t counts for v only when v differs from both
     s and t.
+
+    Brandes accumulation (Brandes 2001, J. Math. Sociol. 25:163) over a
+    blocked BFS: O(|V|·|E|) time, memory bounded by one block of sources,
+    and scores independent of the block size.  After the forward BFS, one
+    backward sparse product per level walks each source's shortest-path
+    DAG from the deepest level up.  The raw count of s's shortest paths
+    leaving v is P(v) = sum over DAG children w of (1 + P(w)), and v gains
+    sigma_sv * P(v); path counts are integers, so the raw sums are exact
+    below 2**53.  The normalized reading accumulates Brandes' dependency
+    delta(v) = sum over children w of sigma_sv / sigma_sw * (1 + delta(w)).
     """
     n = g.node_count
-    dist = _distances(g)
-    counts = _path_counts(g, dist)
+    adj = _adjacency(g)
+    adj_t = adj.T.tocsr()
     scores = np.zeros(n)
-    through = np.empty((n, n))
-    if normalized:
-        pair_counts = np.where(counts > 0, counts, 1.0)
-    for v in range(n):
-        # Paths s->t via v exist iff d(s,v) + d(v,t) = d(s,t); their number
-        # is the product of the two leg counts.
-        np.add.outer(dist[:, v], dist[v, :], out=through)
-        mask = through == dist
-        np.multiply.outer(counts[:, v], counts[v, :], out=through)
-        through *= mask
-        if normalized:
-            through /= pair_counts
-        through[v, :] = 0.0
-        through[:, v] = 0.0
-        scores[v] = through.sum()
+    for lo, hi in _source_blocks(adj):
+        depth, levels = _bfs(adj, lo, hi)
+        b = hi - lo
+        acc = np.zeros((b, n))
+        below = None
+        for k in range(len(levels) - 1, 0, -1):
+            r, c, sigma = levels[k]
+            if below is not None:
+                # pull the level below back to its DAG parents at level k
+                ur, uc, up = _entries(below @ adj_t)
+                hit = depth[ur, uc] == k
+                acc[ur[hit], uc[hit]] = up[hit]
+            pulled = acc[r, c]
+            value = sigma * pulled
+            acc[r, c] = value
+            term = (1.0 + value) / sigma if normalized else 1.0 + pulled
+            below = _csr(b, n, r, c, term)
+        # one source at a time, so float sums do not depend on the block
+        for row in acc:
+            scores += row
     return scores
-
-
-def _path_counts(g, dist):
-    """counts[s, t] = number of shortest s->t paths (0 when unreachable)."""
-    n = g.node_count
-    counts = np.zeros((n, n))
-    for s in range(n):
-        ds = dist[s]
-        counts[s, s] = 1.0
-        # Visit nodes by increasing distance; each node's count is the sum
-        # over in-neighbors one step closer.
-        finite = np.nonzero(np.isfinite(ds))[0]
-        order = finite[np.argsort(ds[finite], kind="stable")]
-        row = counts[s]
-        for v in order:
-            dv = ds[v]
-            if dv == 0.0:
-                continue
-            total = 0.0
-            for u in g.in_adj[v]:
-                if ds[u] == dv - 1.0:
-                    total += row[u]
-            row[v] = total
-    return counts
 
 
 def pagerank_scores(g, eps: float = 0.15, tol: float = 1e-10,

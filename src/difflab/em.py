@@ -17,6 +17,7 @@ the data keep their current values (counted as warnings).
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -26,6 +27,8 @@ import numpy as np
 from .cascade import frontier
 from .errors import EstimationError, ParameterError
 from .params import PER_LINK, SHARED, AsicParams, AsltParams, DelayMode
+
+_log = logging.getLogger(__name__)
 
 PROB_FLOOR = 1e-12
 RATE_FLOOR = 1e-12
@@ -453,7 +456,8 @@ def fit(model: str, g, data, config: EmConfig | None = None,
     """Fit model parameters by alternating E and M steps.
 
     Stops when the L1 change of the parameter vector drops to the configured
-    tolerance, or at the iteration cap.  Returns ``(params, EmTrace)``.
+    tolerance, or at the iteration cap; a fit that reaches the cap logs a
+    warning on the ``difflab.em`` logger.  Returns ``(params, EmTrace)``.
     ``init_params`` warm-starts a shared-mode fit from an earlier solution.
 
     ``horizon_mode`` selects the survival factor of the cascade model's
@@ -532,6 +536,10 @@ def fit(model: str, g, data, config: EmConfig | None = None,
         if delta <= config.tolerance:
             trace.converged = True
             break
+    else:
+        _log.warning("%s %s fit stopped unconverged at max_iterations=%d: "
+                     "last step %.3g > tolerance %.3g", model, config.mode,
+                     config.max_iterations, delta, config.tolerance)
     trace.loglik.append(e_pass(theta)[1])
     return _to_params(g, model, theta), trace
 

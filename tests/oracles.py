@@ -6,9 +6,12 @@ sum-of-products densities, a from-scratch total log-likelihood for both
 models, exhaustive live-edge world enumeration, and brute-force shortest-path
 enumeration.
 
-The last section keeps the package's earlier per-world percolation loop and
-its earlier closure-based simulator loops.  The faster versions must
-reproduce them bit for bit: same draws in the same order, same sums.
+The dense all-pairs centrality section keeps the package's earlier
+betweenness and closeness; the blocked-BFS versions must reproduce the raw
+counts and the closeness scores bit for bit.  The last section keeps the
+package's earlier per-world percolation loop and its earlier closure-based
+simulator loops.  The faster versions must reproduce them bit for bit: same
+draws in the same order, same sums.
 """
 
 import itertools
@@ -17,7 +20,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 
 # -- direct density/likelihood transcriptions --------------------------------
@@ -273,6 +276,98 @@ def betweenness_bruteforce(n, edges, normalized=False):
             for path in paths:
                 for v in path[1:-1]:
                     scores[v] += weight
+    return scores
+
+
+def closeness_bfs(n, edges):
+    """Closeness from plain per-source BFS; unreachable pairs count n."""
+    if n == 1:
+        return [0.0]
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+    scores = []
+    for s in range(n):
+        dist = {s: 0}
+        queue = [s]
+        for u in queue:
+            for v in adj.get(u, []):
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        total = sum(dist.values()) + n * (n - len(dist))
+        scores.append(1.0 / max(total / (n - 1), 1e-300))
+    return scores
+
+
+# -- reference dense all-pairs centrality ---------------------------------------
+
+
+def _dense_distances(n, edges):
+    edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    adj = sparse.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                            shape=(n, n))
+    return shortest_path(adj, method="D", directed=True, unweighted=True)
+
+
+def closeness_dense(n, edges):
+    """The package's earlier closeness over a dense all-pairs matrix."""
+    if n == 1:
+        return np.zeros(1)
+    dist = _dense_distances(n, edges)
+    dist[~np.isfinite(dist)] = n
+    np.fill_diagonal(dist, 0.0)
+    mean_dist = dist.sum(axis=1) / (n - 1)
+    return 1.0 / np.maximum(mean_dist, 1e-300)
+
+
+def _path_counts_dense(n, edges, dist):
+    """counts[s, t] = number of shortest s->t paths (0 when unreachable)."""
+    in_adj = [[] for _ in range(n)]
+    for u, v in sorted(edges):
+        in_adj[v].append(u)
+    counts = np.zeros((n, n))
+    for s in range(n):
+        ds = dist[s]
+        counts[s, s] = 1.0
+        # Visit nodes by increasing distance; each node's count is the sum
+        # over in-neighbors one step closer.
+        finite = np.nonzero(np.isfinite(ds))[0]
+        order = finite[np.argsort(ds[finite], kind="stable")]
+        row = counts[s]
+        for v in order:
+            dv = ds[v]
+            if dv == 0.0:
+                continue
+            total = 0.0
+            for u in in_adj[v]:
+                if ds[u] == dv - 1.0:
+                    total += row[u]
+            row[v] = total
+    return counts
+
+
+def betweenness_dense(n, edges, normalized=False):
+    """The package's earlier betweenness: n outer products of dense n x n
+    distance and path-count matrices."""
+    dist = _dense_distances(n, edges)
+    counts = _path_counts_dense(n, edges, dist)
+    scores = np.zeros(n)
+    through = np.empty((n, n))
+    if normalized:
+        pair_counts = np.where(counts > 0, counts, 1.0)
+    for v in range(n):
+        # Paths s->t via v exist iff d(s,v) + d(v,t) = d(s,t); their number
+        # is the product of the two leg counts.
+        np.add.outer(dist[:, v], dist[v, :], out=through)
+        mask = through == dist
+        np.multiply.outer(counts[:, v], counts[v, :], out=through)
+        through *= mask
+        if normalized:
+            through /= pair_counts
+        through[v, :] = 0.0
+        through[:, v] = 0.0
+        scores[v] = through.sum()
     return scores
 
 

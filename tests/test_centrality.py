@@ -1,13 +1,20 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from difflab import (DirectedGraph, ParameterError, centrality, erdos_renyi,
-                     rank_by_score, ranking_similarity)
+                     preferential_attachment, rank_by_score,
+                     ranking_similarity)
 from difflab.centrality import (betweenness_scores, closeness_scores,
                                 outdegree_scores, pagerank_scores)
 from difflab.rng import derive_rng
 
-from oracles import betweenness_bruteforce
+from oracles import (betweenness_bruteforce, betweenness_dense,
+                     closeness_dense)
+
+# The package re-exports the function ``centrality`` under the module's name.
+centrality_module = importlib.import_module("difflab.centrality")
 
 
 class TestOutdegree:
@@ -62,6 +69,122 @@ class TestBetweenness:
             want = betweenness_bruteforce(n, edges, normalized=True)
             got = betweenness_scores(g, normalized=True)
             assert np.allclose(got, want), (n, edges)
+
+
+def _path(n):
+    return DirectedGraph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _disconnected():
+    """A random part, a directed cycle and an isolated node."""
+    part = erdos_renyi(30, 0.08, 304).edges
+    cycle = [(30 + i, 30 + (i + 1) % 8) for i in range(8)]
+    return DirectedGraph(39, list(part) + cycle)
+
+
+SHAPES = {
+    "er-sparse": lambda: erdos_renyi(150, 0.02, 305),
+    "er-dense": lambda: erdos_renyi(80, 0.12, 306),
+    "er-small": lambda: erdos_renyi(25, 0.2, 311),
+    "pa": lambda: preferential_attachment(150, 3, 307),
+    "path": lambda: _path(60),
+    "out-star": lambda: DirectedGraph(9, [(0, v) for v in range(1, 9)]),
+    "two-way-star": lambda: DirectedGraph(
+        9, [e for v in range(1, 9) for e in ((0, v), (v, 0))]),
+    "edgeless": lambda: DirectedGraph(6, []),
+    "single-node": lambda: DirectedGraph(1, []),
+    "disconnected": _disconnected,
+}
+
+# Small enough for shortest-path enumeration.
+SMALL = ("er-small", "path", "out-star", "two-way-star", "edgeless",
+         "single-node", "disconnected")
+
+
+class TestAgainstDenseCode:
+    """The blocked BFS against the earlier dense all-pairs code."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_raw_betweenness_identical(self, shape):
+        g = SHAPES[shape]()
+        want = betweenness_dense(g.node_count, g.edges)
+        assert np.array_equal(betweenness_scores(g), want)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_closeness_identical(self, shape):
+        g = SHAPES[shape]()
+        want = closeness_dense(g.node_count, g.edges)
+        assert np.array_equal(closeness_scores(g), want)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_normalized_betweenness(self, shape):
+        g = SHAPES[shape]()
+        got = betweenness_scores(g, normalized=True)
+        want = betweenness_dense(g.node_count, g.edges, normalized=True)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        if shape in SMALL:
+            want = betweenness_bruteforce(g.node_count, g.edges,
+                                          normalized=True)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+BLOCK_SHAPES = {
+    "er": lambda: erdos_renyi(60, 0.04, 312),
+    "pa": lambda: preferential_attachment(60, 2, 313),
+    "path": lambda: _path(25),
+    "disconnected": _disconnected,
+}
+
+
+class TestBlockSize:
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_scores_do_not_depend_on_block_size(self, monkeypatch, shape,
+                                                block):
+        g = BLOCK_SHAPES[shape]()
+        want = (betweenness_scores(g), betweenness_scores(g, normalized=True),
+                closeness_scores(g))
+        per_source = (centrality_module._NODE_BYTES * g.node_count
+                      + centrality_module._EDGE_BYTES * g.edge_count)
+        monkeypatch.setattr(centrality_module, "_BLOCK_BYTES",
+                            block * per_source)
+        blocks = centrality_module._source_blocks(
+            centrality_module._adjacency(g))
+        assert max(hi - lo for lo, hi in blocks) == block
+        got = (betweenness_scores(g), betweenness_scores(g, normalized=True),
+               closeness_scores(g))
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def _nx_graph(nx, g):
+    G = nx.DiGraph()
+    G.add_nodes_from(range(g.node_count))
+    G.add_edges_from(g.edges)
+    return G
+
+
+class TestNetworkx:
+    @pytest.mark.parametrize("g", [preferential_attachment(300, 3, 308),
+                                   erdos_renyi(200, 0.02, 309)],
+                             ids=["pa", "er"])
+    def test_normalized_betweenness(self, g):
+        nx = pytest.importorskip("networkx")
+        want = nx.betweenness_centrality(_nx_graph(nx, g), normalized=False)
+        np.testing.assert_allclose(
+            betweenness_scores(g, normalized=True),
+            [want[v] for v in range(g.node_count)], rtol=1e-12, atol=0)
+
+    def test_closeness_on_strongly_connected_graph(self):
+        nx = pytest.importorskip("networkx")
+        g = preferential_attachment(300, 3, 310)
+        G = _nx_graph(nx, g)
+        assert nx.is_strongly_connected(G)
+        # networkx measures distance into a node; ours is out of it.
+        want = nx.closeness_centrality(G.reverse())
+        np.testing.assert_allclose(
+            closeness_scores(g), [want[v] for v in range(g.node_count)],
+            rtol=1e-12)
 
 
 class TestPagerank:

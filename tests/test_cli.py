@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import difflab
 from difflab import dumps_edge_list, erdos_renyi
 from difflab.cli import main
 
@@ -133,6 +137,25 @@ class TestLearnSelect:
         rc = _run(["learn", "--graph", graph_file, "--cascades", bad,
                    "--model", "asic", "--out", tmp_path / "p.json"])
         assert rc == 4
+
+    def test_unconverged_learn_keeps_stderr_empty(self, tmp_path,
+                                                  graph_file):
+        # The fit stops at its cap and logs a warning, which the package's
+        # NullHandler keeps off stderr unless logging is configured.
+        casc = self._make_cascades(tmp_path, graph_file)
+        src = str(Path(difflab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "difflab.cli", "learn", "--graph",
+             str(graph_file), "--cascades", str(casc), "--model", "asic",
+             "--tol", "1e-12", "--max-iter", "2",
+             "--out", str(tmp_path / "p.json")],
+            capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        trace = json.loads((tmp_path / "p.json.trace.json").read_text())
+        assert not trace["converged"]
+        assert proc.stderr == b""
 
     def test_per_link_mode_reports_untouched_links(self, tmp_path,
                                                    graph_file):

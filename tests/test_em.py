@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,29 @@ class TestFitContract:
         assert trace.iterations == 1
         assert not trace.converged
         assert len(trace.params_history) == 2
+
+    @pytest.mark.parametrize("model", ["asic", "aslt"])
+    @pytest.mark.parametrize("mode", [SHARED, PER_LINK])
+    def test_iteration_cap_logs_one_warning(self, caplog, model, mode):
+        g, params, data = _instance(6, model)
+        with caplog.at_level(logging.WARNING, logger="difflab"):
+            _, trace = fit(model, g, data, EmConfig(
+                max_iterations=2, tolerance=1e-12, mode=mode))
+        assert not trace.converged
+        records = [r for r in caplog.records if r.name.startswith("difflab")]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        text = records[0].getMessage()
+        assert f"{model} {mode} fit" in text
+        assert "max_iterations=2" in text and "last step" in text
+
+    def test_converged_fit_logs_nothing(self, caplog):
+        g, params, data = _instance(5, "asic")
+        with caplog.at_level(logging.DEBUG, logger="difflab"):
+            _, trace = fit("asic", g, data, EmConfig(max_iterations=200))
+        assert trace.converged
+        assert not [r for r in caplog.records
+                    if r.name.startswith("difflab")]
 
     def test_empty_data_rejected(self, chain2):
         with pytest.raises(EstimationError):
