@@ -172,6 +172,15 @@ def read_cascades(path) -> CascadeSet:
 # -- structural queries ------------------------------------------------------
 
 
+def check_in_graph(g, data) -> None:
+    """Raise ``CascadeError`` if a cascade names a node outside ``g``."""
+    for m, c in enumerate(data):
+        for v, _ in c.events:
+            if not 0 <= v < g.node_count:
+                raise CascadeError(
+                    f"cascade {m} references node {v} outside the graph")
+
+
 def frontier(g, c: Cascade) -> set:
     """Inactive nodes with at least one active parent."""
     active = c._times

@@ -9,8 +9,6 @@ distribution.  All operate on unit edge lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-
 import numpy as np
 from scipy import sparse
 
@@ -41,19 +39,14 @@ def rank_by_score(scores) -> RankedList:
 
 
 def _adjacency(g):
-    """Unit-weight CSR adjacency, read straight off the sorted child lists."""
+    """Unit-weight CSR adjacency over the graph's out-CSR index."""
     n = g.node_count
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.fromiter(map(len, g.out_adj), dtype=np.intp, count=n),
-              out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(g.out_adj), dtype=np.intp,
-                          count=g.edge_count)
-    return sparse.csr_matrix((np.ones(g.edge_count), indices, indptr),
+    return sparse.csr_matrix((np.ones(g.edge_count), g.heads, g.out_ptr),
                              shape=(n, n))
 
 
 def outdegree_scores(g):
-    return np.fromiter(map(len, g.out_adj), dtype=float, count=g.node_count)
+    return np.diff(g.out_ptr).astype(float)
 
 
 # Sources are swept in blocks whose working set stays near _BLOCK_BYTES.  Per

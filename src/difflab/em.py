@@ -21,10 +21,11 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
-from .cascade import frontier
+from .cascade import check_in_graph
 from .errors import EstimationError, ParameterError
 from .params import PER_LINK, SHARED, AsicParams, AsltParams, DelayMode
 
@@ -103,6 +104,17 @@ class Responsibilities:
 # -- sufficient statistics ---------------------------------------------------
 
 
+def _segments(ptr, nodes):
+    """Positions ``ptr[v]:ptr[v+1]`` of each ``v`` in ``nodes``, concatenated,
+    and for each position the index in ``nodes`` it belongs to."""
+    start = ptr[nodes]
+    count = ptr[nodes + 1] - start
+    owner = np.repeat(np.arange(len(nodes)), count)
+    pos = (start - np.cumsum(count) + count)[owner]
+    pos += np.arange(len(owner))
+    return owner, pos
+
+
 class _Stats:
     """Flattened (cascade, child, parent) structure for vectorized passes.
 
@@ -123,7 +135,7 @@ class _Stats:
     then node, then parent order, which fixes the order of every sum.
     """
 
-    __slots__ = ("edges", "dt", "group", "link", "n_groups", "n_plus",
+    __slots__ = ("g", "dt", "group", "link", "n_groups", "n_plus",
                  "group_m", "group_node", "group_nb",
                  "fail_edges", "fail_dt", "fail_total",
                  "f_dt", "f_group", "f_link", "f_nb", "n_f_groups",
@@ -131,89 +143,89 @@ class _Stats:
                  "i_link", "i_group")
 
     def __init__(self, g, data, model):
-        dts, groups, links, group_m, group_node = [], [], [], [], []
-        fail_edges, fail_dts = [], []
-        f_dts, f_groups, f_links = [], [], []
-        f_group_nb, f_group_k, f_group_node, f_group_m = [], [], [], []
-        i_links, i_groups = [], []
-        for m, c in enumerate(data):
-            times = c._times
-            if not c.events:
-                continue
-            t0 = c.initial_time
-            for v, tv in c.events:
-                if tv == t0:
-                    continue
-                gid = len(group_m)
-                opened = False
-                for u in g.in_adj[v]:
-                    tu = times.get(u)
-                    if tu is None or tu >= tv:
-                        continue
-                    dts.append(tv - tu)
-                    groups.append(gid)
-                    links.append(g.edge_id(u, v))
-                    opened = True
-                if not opened:
-                    raise EstimationError(
-                        f"cascade {m}: node {v} activated at t={tv} with no "
-                        f"possible activator (zero-probability event)")
-                group_m.append(m)
-                group_node.append(v)
-            horizon = c.horizon
-            if model == "asic":
-                for u, tu in c.events:
-                    for w in g.out_adj[u]:
-                        if w not in times:
-                            fail_edges.append(g.edge_id(u, w))
-                            fail_dts.append(horizon - tu)
-                continue
-            for v in sorted(frontier(g, c)):
-                fgid = len(f_group_m)
-                k = 0
-                for u in g.in_adj[v]:
-                    tu = times.get(u)
-                    if tu is None:
-                        i_links.append(g.edge_id(u, v))
-                        i_groups.append(fgid)
-                        continue
-                    f_dts.append(horizon - tu)
-                    f_groups.append(fgid)
-                    f_links.append(g.edge_id(u, v))
-                    k += 1
-                f_group_nb.append(len(g.in_adj[v]))
-                f_group_k.append(k)
-                f_group_node.append(v)
-                f_group_m.append(m)
-        self.edges = g.edges
-        self.dt = np.asarray(dts, dtype=np.float64)
-        self.group = np.asarray(groups, dtype=np.intp)
-        self.link = np.asarray(links, dtype=np.intp)
-        self.n_groups = len(group_m)
-        self.n_plus = len(dts)
-        self.group_m = np.asarray(group_m, dtype=np.intp)
-        self.group_node = np.asarray(group_node, dtype=np.intp)
-        self.group_nb = np.asarray([len(g.in_adj[v]) for v in group_node],
-                                   dtype=np.float64)
-        self.fail_edges = np.asarray(fail_edges, dtype=np.intp)
-        self.fail_dt = np.asarray(fail_dts, dtype=np.float64)
-        self.fail_total = len(fail_edges)
-        self.f_dt = np.asarray(f_dts, dtype=np.float64)
-        self.f_group = np.asarray(f_groups, dtype=np.intp)
-        self.f_link = np.asarray(f_links, dtype=np.intp)
-        self.n_f_groups = len(f_group_m)
-        self.f_group_nb = np.asarray(f_group_nb, dtype=np.float64)
+        check_in_graph(g, data)
+        n = g.node_count
+        lens = np.array([len(c.events) for c in data], dtype=np.intp)
+        events = np.fromiter(chain.from_iterable(c.events for c in data),
+                             dtype=[("v", np.intp), ("t", np.float64)])
+        ev_node, ev_time = events["v"], events["t"]
+        ev_m = np.repeat(np.arange(len(lens), dtype=np.intp), lens)
+        horizon = np.array([c.horizon for c in data], dtype=np.float64)
+        first = np.cumsum(lens) - lens
+        # Activation time of node u in cascade m, looked up by m * n + u.
+        key = ev_m * n + ev_node
+        by_key = np.argsort(key)
+        # A sentinel that matches no key catches lookups past the last one.
+        sorted_key = np.append(key[by_key], -1)
+        sorted_time = np.append(ev_time[by_key], np.nan)
+
+        def time_of(q):
+            pos = np.searchsorted(sorted_key[:-1], q)
+            found = sorted_key[pos] == q
+            return sorted_time[pos], found
+
+        # Activation block: effective parents of each non-initial event.
+        act = np.flatnonzero(ev_time != ev_time[first[ev_m]])
+        owner, pos = _segments(g.in_ptr, ev_node[act])
+        edge = g.in_edges[pos]
+        tv = ev_time[act][owner]
+        tu, found = time_of(ev_m[act][owner] * n + g.tails[edge])
+        keep = found & (tu < tv)
+        opened = np.bincount(owner[keep], minlength=len(act))
+        if not opened.all():
+            i = act[np.argmin(opened)]
+            raise EstimationError(
+                f"cascade {ev_m[i]}: node {ev_node[i]} activated at "
+                f"t={float(ev_time[i])} with no possible activator "
+                f"(zero-probability event)")
+        self.g = g
+        self.dt = tv[keep] - tu[keep]
+        self.group = owner[keep]
+        self.link = edge[keep]
+        self.n_groups = len(act)
+        self.n_plus = len(self.dt)
+        self.group_m = ev_m[act]
+        self.group_node = ev_node[act]
+        self.group_nb = g.in_degree[self.group_node].astype(np.float64)
+
+        # Inactive children of each active node, in event then child order.
+        owner, out_edge = _segments(g.out_ptr, ev_node)
+        child = ev_m[owner] * n + g.heads[out_edge]
+        missed = ~time_of(child)[1]
+        if model == "asic":
+            self.fail_edges = out_edge[missed]
+            owner = owner[missed]
+            self.fail_dt = horizon[ev_m[owner]] - ev_time[owner]
+            front = np.zeros(0, dtype=np.intp)
+        else:
+            self.fail_edges = np.zeros(0, dtype=np.intp)
+            self.fail_dt = np.zeros(0)
+            # Each frontier node once per cascade (keys m * n + v, sorted).
+            front = np.unique(child[missed])
+        self.fail_total = len(self.fail_edges)
+
+        # Frontier block: every parent of each frontier node.
+        f_m, f_node = np.divmod(front, max(n, 1))
+        owner, edge = _segments(g.in_ptr, f_node)
+        edge = g.in_edges[edge]
+        tu, active = time_of(f_m[owner] * n + g.tails[edge])
+        self.f_dt = horizon[f_m[owner[active]]] - tu[active]
+        self.f_group = owner[active]
+        self.f_link = edge[active]
+        self.i_link = edge[~active]
+        self.i_group = owner[~active]
+        self.n_f_groups = len(front)
+        self.f_group_nb = g.in_degree[f_node].astype(np.float64)
         self.f_nb = self.f_group_nb[self.f_group]
-        self.f_group_k = np.asarray(f_group_k, dtype=np.float64)
-        self.f_group_node = np.asarray(f_group_node, dtype=np.intp)
-        self.f_group_m = np.asarray(f_group_m, dtype=np.intp)
-        self.i_link = np.asarray(i_links, dtype=np.intp)
-        self.i_group = np.asarray(i_groups, dtype=np.intp)
+        self.f_group_k = np.bincount(
+            self.f_group, minlength=len(front)).astype(np.float64)
+        self.f_group_node = f_node
+        self.f_group_m = f_m
 
     def keys(self, group_m, group, link):
         """(cascade, parent, child) of each entry of one block, given the
         block's per-group cascades and its entries' groups and edges."""
-        edges = self.edges
+        edges = self.g.edges
         return [(m, *edges[e])
                 for m, e in zip(group_m[group].tolist(), link.tolist())]
 
@@ -372,7 +384,7 @@ def _aslt_m_shared(stats, terms, theta):
     return min(max(q_new, PROB_FLOOR), 1.0), _clamp_rate(r_new)
 
 
-def _aslt_m_per_link(stats, terms, theta, edge_target, n_nodes):
+def _aslt_m_per_link(stats, terms, theta):
     phi, psi, varphi_slack, varphi_inact, _ = terms
     q_vec, r_vec = theta
     n_edges = len(q_vec)
@@ -381,7 +393,8 @@ def _aslt_m_per_link(stats, terms, theta, edge_target, n_nodes):
     if len(stats.i_link):
         num_q += np.bincount(stats.i_link, weights=varphi_inact,
                              minlength=n_edges)
-    slack_num = np.zeros(n_nodes)
+    edge_target = stats.g.heads
+    slack_num = np.zeros(stats.g.node_count)
     if stats.n_f_groups:
         np.add.at(slack_num, stats.f_group_node, varphi_slack)
     node_tot = slack_num.copy()
@@ -415,10 +428,6 @@ def _check_loglik(ll, iteration=None):
         raise EstimationError(f"non-finite log-likelihood{at} ({ll})")
 
 
-def _edge_target(g):
-    return np.asarray([v for _, v in g.edges], dtype=np.intp)
-
-
 def _to_theta(g, model, params, per_link):
     """``(strength, rate)`` of ``params``: its shared scalars, or edge-indexed
     vectors when ``per_link`` (a shared weight q splits as q / |B(v)|)."""
@@ -431,7 +440,7 @@ def _to_theta(g, model, params, per_link):
     if model == "asic":
         s_vec = np.full(g.edge_count, strength)
     else:
-        s_vec = np.asarray([strength / len(g.in_adj[v]) for _, v in g.edges])
+        s_vec = strength / g.in_degree[g.heads]
     return s_vec, np.full(g.edge_count, params.r)
 
 
@@ -509,15 +518,12 @@ def fit(model: str, g, data, config: EmConfig | None = None,
     elif shared:
         e_pass, m_pass = partial(_aslt_e_shared, stats), _aslt_m_shared
     else:
-        edge_target = _edge_target(g)
-
         def e_pass(theta):
             slack = np.ones(g.node_count)
-            np.subtract.at(slack, edge_target, theta[0])
+            np.subtract.at(slack, g.heads, theta[0])
             return _aslt_e_per_link(stats, theta, np.maximum(slack, 0.0))
 
-        m_pass = partial(_aslt_m_per_link, edge_target=edge_target,
-                         n_nodes=g.node_count)
+        m_pass = _aslt_m_per_link
 
     trace.params_history.append(_snap(theta))
     for it in range(config.max_iterations):
@@ -620,8 +626,7 @@ def m_step_aslt(g, data, resp: Responsibilities, mode: str = SHARED):
     # Shared-mode terms hold per-group totals; the update needs per entry.
     terms = terms[:3] + (varphi_inact, None)
     theta = _to_theta(g, "aslt", params, per_link=True)
-    return _to_params(g, "aslt", _aslt_m_per_link(
-        stats, terms, theta, _edge_target(g), g.node_count))
+    return _to_params(g, "aslt", _aslt_m_per_link(stats, terms, theta))
 
 
 def param_error(estimate: float, truth: float) -> float:

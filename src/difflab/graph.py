@@ -7,6 +7,11 @@ external ids, a remapping table is kept and used again on serialization.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import chain, pairwise
+
+import numpy as np
+
 from .errors import EdgeListParseError, GraphValidationError
 from .rng import derive_rng
 
@@ -14,27 +19,33 @@ from .rng import derive_rng
 class DirectedGraph:
     """Immutable directed graph without self-links.
 
+    Edge ids are positions in the canonical order ``edges``, sorted by
+    (u, v).  The CSR index is built once, as read-only ``np.intp`` arrays.
+
     Attributes
     ----------
-    node_count : int
-    edge_count : int
+    node_count, edge_count : int
+    edges : tuple of (u, v) pairs in canonical order
     out_adj : tuple of tuples, ``out_adj[u]`` holds the children of ``u``
     in_adj : tuple of tuples, ``in_adj[v]`` holds the parents of ``v``
+    out_ptr, tails, heads : edges ``out_ptr[u]:out_ptr[u+1]`` leave ``u``,
+        and ``edges[e] == (tails[e], heads[e])``
+    in_ptr, in_edges, in_degree : ``in_edges[in_ptr[v]:in_ptr[v+1]]`` are
+        the ids of the ``in_degree[v]`` edges into ``v``, parents ascending
     labels : tuple mapping internal id -> external id
     duplicate_count : number of duplicate input edges that were collapsed
     """
 
-    __slots__ = ("node_count", "edge_count", "out_adj", "in_adj", "labels",
-                 "duplicate_count", "_edge_set", "_edge_list", "_edge_index")
+    __slots__ = ("node_count", "edge_count", "edges", "out_adj", "in_adj",
+                 "out_ptr", "tails", "heads", "in_ptr", "in_edges",
+                 "in_degree", "labels", "duplicate_count")
 
     def __init__(self, node_count, edges, labels=None, duplicate_count=0):
         node_count = int(node_count)
         if node_count < 0:
             raise GraphValidationError("node_count must be non-negative")
-        seen = set()
-        dup = int(duplicate_count)
-        out = [[] for _ in range(node_count)]
-        inn = [[] for _ in range(node_count)]
+        out = [set() for _ in range(node_count)]
+        given = 0
         for u, v in edges:
             u = int(u)
             v = int(v)
@@ -43,56 +54,65 @@ class DirectedGraph:
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise GraphValidationError(
                     f"edge ({u}, {v}) references a node outside 0..{node_count - 1}")
-            if (u, v) in seen:
-                dup += 1
-                continue
-            seen.add((u, v))
-            out[u].append(v)
-            inn[v].append(u)
-        object.__setattr__(self, "node_count", node_count)
-        object.__setattr__(self, "edge_count", len(seen))
-        object.__setattr__(self, "out_adj", tuple(tuple(sorted(c)) for c in out))
-        object.__setattr__(self, "in_adj", tuple(tuple(sorted(p)) for p in inn))
-        if labels is None:
-            labels = tuple(range(node_count))
-        else:
-            labels = tuple(labels)
-            if len(labels) != node_count:
-                raise GraphValidationError("labels length must equal node_count")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "duplicate_count", dup)
-        object.__setattr__(self, "_edge_set", frozenset(seen))
-        edge_list = tuple(sorted(seen))
-        object.__setattr__(self, "_edge_list", edge_list)
-        object.__setattr__(self, "_edge_index",
-                           {e: i for i, e in enumerate(edge_list)})
+            out[u].add(v)
+            given += 1
+        out_adj = tuple(tuple(sorted(c)) for c in out)
+        labels = tuple(range(node_count) if labels is None else labels)
+        if len(labels) != node_count:
+            raise GraphValidationError("labels length must equal node_count")
+        out_degree = np.fromiter(map(len, out_adj), dtype=np.intp,
+                                 count=node_count)
+        edge_count = int(out_degree.sum())
+        heads = np.fromiter(chain.from_iterable(out_adj), dtype=np.intp,
+                            count=edge_count)
+        tails = np.repeat(np.arange(node_count, dtype=np.intp), out_degree)
+        # Edge ids grow with the tail, so a stable sort by head keeps each
+        # node's parents ascending.
+        in_edges = np.argsort(heads, kind="stable")
+        in_ptr = np.searchsorted(heads, np.arange(node_count + 1),
+                                 sorter=in_edges)
+        parents = tails[in_edges].tolist()
+        fields = {
+            "node_count": node_count,
+            "edge_count": edge_count,
+            "edges": tuple(zip(tails.tolist(), heads.tolist())),
+            "out_adj": out_adj,
+            "in_adj": tuple(tuple(parents[a:b]) for a, b
+                            in pairwise(in_ptr.tolist())),
+            "out_ptr": np.searchsorted(tails, np.arange(node_count + 1)),
+            "tails": tails,
+            "heads": heads,
+            "in_edges": in_edges,
+            "in_ptr": in_ptr,
+            "in_degree": np.diff(in_ptr),
+            "labels": labels,
+            "duplicate_count": int(duplicate_count) + given - edge_count,
+        }
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("DirectedGraph is immutable")
 
     def __reduce__(self):
-        return (DirectedGraph, (self.node_count, self._edge_list,
+        return (DirectedGraph, (self.node_count, self.edges,
                                 self.labels, self.duplicate_count))
 
     # -- basic queries ----------------------------------------------------
 
-    def children(self, u):
-        return self.out_adj[u]
-
-    def parents(self, v):
-        return self.in_adj[v]
-
     def has_edge(self, u, v):
-        return (u, v) in self._edge_set
-
-    @property
-    def edges(self):
-        """All edges as a sorted tuple of (u, v) pairs (canonical order)."""
-        return self._edge_list
+        children = self.out_adj[u] if 0 <= u < self.node_count else ()
+        i = bisect_left(children, v)
+        return i < len(children) and children[i] == v
 
     def edge_id(self, u, v):
-        """Position of edge (u, v) in the canonical edge order."""
-        return self._edge_index[(u, v)]
+        """Position of edge (u, v) in the canonical edge order; raises
+        ``KeyError`` if (u, v) is not an edge."""
+        if not self.has_edge(u, v):
+            raise KeyError((u, v))
+        return int(self.out_ptr[u]) + bisect_left(self.out_adj[u], v)
 
     def __repr__(self):
         return f"DirectedGraph(nodes={self.node_count}, edges={self.edge_count})"
@@ -110,8 +130,6 @@ def load_edge_list(text: str) -> DirectedGraph:
     label_index: dict[int, int] = {}
     labels: list[int] = []
     edges = []
-    dup = 0
-    seen = set()
 
     def intern(ext):
         idx = label_index.get(ext)
@@ -139,13 +157,8 @@ def load_edge_list(text: str) -> DirectedGraph:
         if ue == ve:
             raise GraphValidationError(
                 f"line {lineno}: self-link ({ue}, {ve}) is not allowed")
-        u, v = intern(ue), intern(ve)
-        if (u, v) in seen:
-            dup += 1
-            continue
-        seen.add((u, v))
-        edges.append((u, v))
-    return DirectedGraph(len(labels), edges, labels=labels, duplicate_count=dup)
+        edges.append((intern(ue), intern(ve)))
+    return DirectedGraph(len(labels), edges, labels=labels)
 
 
 def dumps_edge_list(g: DirectedGraph) -> str:

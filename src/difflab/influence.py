@@ -50,37 +50,18 @@ class InfluenceTable:
         self.stderr = np.asarray(self.stderr, dtype=float)
 
 
-def _edge_arrays(g):
-    edges = g.edges
-    u = np.asarray([e[0] for e in edges], dtype=np.intp)
-    v = np.asarray([e[1] for e in edges], dtype=np.intp)
-    return u, v
-
-
-def _asic_live_prob(g, params):
-    return np.asarray([params.prob(u, v) for u, v in g.edges])
-
-
 def _aslt_choice_tables(g, params):
-    """Flattened per-node cumulative in-weights for vectorized sampling.
-
-    Node v's incoming edge ids occupy ``flat_edge[ptr[v]:ptr[v+1]]`` and the
-    matching cumulative weights (offset by 2v so each node owns a disjoint
-    value range) sit in ``flat_cum``.
-    """
-    ptr = np.zeros(g.node_count + 1, dtype=np.intp)
-    flat_edge = []
+    """Cumulative in-weights for vectorized sampling, aligned with
+    ``g.in_edges``: node v's entries ``g.in_ptr[v]:g.in_ptr[v+1]`` hold its
+    running weight sums in parent order, offset by 2v so each node owns a
+    disjoint value range."""
     flat_cum = []
-    for v in range(g.node_count):
-        parents = g.in_adj[v]
+    for v, parents in enumerate(g.in_adj):
         acc = 0.0
         for u in parents:
             acc += params.weight(g, u, v)
-            flat_edge.append(g.edge_id(u, v))
             flat_cum.append(2.0 * v + min(acc, 1.0))
-        ptr[v + 1] = ptr[v] + len(parents)
-    return (ptr, np.asarray(flat_edge, dtype=np.intp),
-            np.asarray(flat_cum, dtype=np.float64))
+    return np.asarray(flat_cum, dtype=np.float64)
 
 
 # Worlds are solved in blocks whose working set stays near _BLOCK_BYTES: per
@@ -154,15 +135,13 @@ def _percolation_partial(g, model, params, rng_seed, lo, hi):
     integers, so the result does not depend on the block size.
     """
     n = g.node_count
-    edge_u, edge_v = _edge_arrays(g)
     if model == "asic":
-        live_p = _asic_live_prob(g, params)
+        live_p = np.asarray([params.prob(u, v) for u, v in g.edges])
         width = len(live_p)
     else:
-        ptr, flat_edge, flat_cum = _aslt_choice_tables(g, params)
-        parent_nodes = np.asarray(
-            [v for v in range(n) if len(g.in_adj[v]) > 0], dtype=np.intp)
-        seg_end = ptr[parent_nodes + 1]
+        flat_cum = _aslt_choice_tables(g, params)
+        parent_nodes = np.flatnonzero(g.in_degree)
+        seg_end = g.in_ptr[parent_nodes + 1]
         width = len(parent_nodes)
     row_bytes = 8 * ((n + 63) >> 6)
     block = max(1, _BLOCK_BYTES // max(1, n * (row_bytes + _NODE_BYTES)))
@@ -182,9 +161,9 @@ def _percolation_partial(g, model, params, rng_seed, lo, hi):
             pos = np.searchsorted(flat_cum, draw, side="left")
             hit = pos < seg_end
             world = np.nonzero(hit)[0]
-            chosen = flat_edge[pos[hit]]
-        sizes = _block_reachable_sizes(n, worlds, world, edge_u[chosen],
-                                       edge_v[chosen])
+            chosen = g.in_edges[pos[hit]]
+        sizes = _block_reachable_sizes(n, worlds, world, g.tails[chosen],
+                                       g.heads[chosen])
         total += sizes.sum(axis=0)
         total_sq += (sizes * sizes).sum(axis=0)
         wmeans[b_lo - lo:b_lo - lo + worlds] = sizes.mean(axis=1)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .cascade import effective_parents, frontier
+from .cascade import check_in_graph, effective_parents, frontier
 from .errors import CascadeError
 from .params import DelayMode
 
@@ -247,13 +247,10 @@ def loglik(model: str, g, params, delay: DelayMode, data,
     """
     if model not in ("asic", "aslt"):
         raise ValueError(f"unknown model {model!r}")
+    check_in_graph(g, data)
     total = 0.0
     dead = False
     for m, c in enumerate(data):
-        for v, _ in c.events:
-            if not 0 <= v < g.node_count:
-                raise CascadeError(
-                    f"cascade {m} references node {v} outside the graph")
         if model == "asic":
             for v, _ in c.events:
                 h = h_asic(c, g, params, delay, v)

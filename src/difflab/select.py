@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cascade import Cascade
+from .cascade import Cascade, check_in_graph
 from .em import EmConfig, fit
 from .errors import EstimationError, InsufficientDataError
 from .likelihood import h_asic, h_aslt
@@ -97,6 +97,7 @@ def _cutoff_terms(model, g, data, periods, em_config, warm_start=True):
     refits use the finite-horizon survival factors; the threshold model is
     horizon-aware by construction.
     """
+    check_in_graph(g, data)
     if em_config is None:
         em_config = EmConfig()
     prev = None

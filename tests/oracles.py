@@ -6,12 +6,14 @@ sum-of-products densities, a from-scratch total log-likelihood for both
 models, exhaustive live-edge world enumeration, and brute-force shortest-path
 enumeration.
 
-The dense all-pairs centrality section keeps the package's earlier
-betweenness and closeness; the blocked-BFS versions must reproduce the raw
-counts and the closeness scores bit for bit.  The last section keeps the
-package's earlier per-world percolation loop and its earlier closure-based
-simulator loops.  The faster versions must reproduce them bit for bit: same
-draws in the same order, same sums.
+The sufficient-statistics section keeps the package's earlier per-entry
+loop that built the EM statistics; the vectorised builder must reproduce
+every array of it byte for byte.  The dense all-pairs centrality section
+keeps the package's earlier betweenness and closeness; the blocked-BFS
+versions must reproduce the raw counts and the closeness scores bit for
+bit.  The last section keeps the package's earlier per-world percolation
+loop and its earlier closure-based simulator loops.  The faster versions
+must reproduce them bit for bit: same draws in the same order, same sums.
 """
 
 import itertools
@@ -223,6 +225,106 @@ def random_consistent_cascades(g, rng, count):
         event_dicts.append(dict(times))
         horizons.append(horizon)
     return out, event_dicts, horizons
+
+
+# -- reference sufficient-statistics loop --------------------------------------
+
+
+class ZeroProbabilityEvent(Exception):
+    """An activation with no earlier active parent (the message matches the
+    package's estimation error)."""
+
+
+def em_stats_loop(g, data, model):
+    """The EM statistics of ``em._Stats``, one entry at a time.
+
+    Returns a dict of the builder's fields (the graph aside); raises
+    ``ZeroProbabilityEvent`` where the builder raises its estimation error.
+    """
+    edge_index = {e: i for i, e in enumerate(g.edges)}
+    dts, groups, links, group_m, group_node = [], [], [], [], []
+    fail_edges, fail_dts = [], []
+    f_dts, f_groups, f_links = [], [], []
+    f_group_nb, f_group_k, f_group_node, f_group_m = [], [], [], []
+    i_links, i_groups = [], []
+    for m, c in enumerate(data):
+        times = dict(c.events)
+        if not c.events:
+            continue
+        t0 = c.events[0][1]
+        for v, tv in c.events:
+            if tv == t0:
+                continue
+            gid = len(group_m)
+            opened = False
+            for u in g.in_adj[v]:
+                tu = times.get(u)
+                if tu is None or tu >= tv:
+                    continue
+                dts.append(tv - tu)
+                groups.append(gid)
+                links.append(edge_index[(u, v)])
+                opened = True
+            if not opened:
+                raise ZeroProbabilityEvent(
+                    f"cascade {m}: node {v} activated at t={tv} with no "
+                    f"possible activator (zero-probability event)")
+            group_m.append(m)
+            group_node.append(v)
+        horizon = c.horizon
+        if model == "asic":
+            for u, tu in c.events:
+                for w in g.out_adj[u]:
+                    if w not in times:
+                        fail_edges.append(edge_index[(u, w)])
+                        fail_dts.append(horizon - tu)
+            continue
+        front = {w for u in times for w in g.out_adj[u] if w not in times}
+        for v in sorted(front):
+            fgid = len(f_group_m)
+            k = 0
+            for u in g.in_adj[v]:
+                tu = times.get(u)
+                if tu is None:
+                    i_links.append(edge_index[(u, v)])
+                    i_groups.append(fgid)
+                    continue
+                f_dts.append(horizon - tu)
+                f_groups.append(fgid)
+                f_links.append(edge_index[(u, v)])
+                k += 1
+            f_group_nb.append(len(g.in_adj[v]))
+            f_group_k.append(k)
+            f_group_node.append(v)
+            f_group_m.append(m)
+    ints = dict(dtype=np.intp)
+    floats = dict(dtype=np.float64)
+    out = {
+        "dt": np.asarray(dts, **floats),
+        "group": np.asarray(groups, **ints),
+        "link": np.asarray(links, **ints),
+        "n_groups": len(group_m),
+        "n_plus": len(dts),
+        "group_m": np.asarray(group_m, **ints),
+        "group_node": np.asarray(group_node, **ints),
+        "group_nb": np.asarray([len(g.in_adj[v]) for v in group_node],
+                               **floats),
+        "fail_edges": np.asarray(fail_edges, **ints),
+        "fail_dt": np.asarray(fail_dts, **floats),
+        "fail_total": len(fail_edges),
+        "f_dt": np.asarray(f_dts, **floats),
+        "f_group": np.asarray(f_groups, **ints),
+        "f_link": np.asarray(f_links, **ints),
+        "n_f_groups": len(f_group_m),
+        "f_group_nb": np.asarray(f_group_nb, **floats),
+        "f_group_k": np.asarray(f_group_k, **floats),
+        "f_group_node": np.asarray(f_group_node, **ints),
+        "f_group_m": np.asarray(f_group_m, **ints),
+        "i_link": np.asarray(i_links, **ints),
+        "i_group": np.asarray(i_groups, **ints),
+    }
+    out["f_nb"] = out["f_group_nb"][out["f_group"]]
+    return out
 
 
 # -- brute-force shortest-path counting ---------------------------------------

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from difflab import (Cascade, CascadeError, CascadeSet, DirectedGraph,
-                     dumps_cascades, effective_parents, frontier,
-                     loads_cascades)
+from difflab import (AsicParams, AsltParams, Cascade, CascadeError,
+                     CascadeSet, DelayMode, DirectedGraph, dumps_cascades,
+                     e_step_asic, e_step_aslt, effective_parents, fit,
+                     frontier, loads_cascades, loglik, select_model)
 
 
 class TestCascade:
@@ -69,6 +70,38 @@ class TestCascadeSetIO:
         cs = CascadeSet([Cascade([(0, 0.0), (1, 1.0)], 2.0),
                          Cascade([(2, 0.0)], 0.0)])
         assert cs.total_active == 3
+
+
+class TestNodesOutsideGraph:
+    """Every entry point that reads cascades against a graph rejects a node
+    outside it with one error, before any work."""
+
+    @pytest.fixture(params=[-2, 3, 9])
+    def case(self, request):
+        node = request.param
+        g = DirectedGraph(3, [(0, 1), (1, 2)])
+        # The bad node activates last, so a truncation before it is valid.
+        data = [Cascade([(0, 0.0), (1, 1.0), (2, 2.0)], 3.0),
+                Cascade([(0, 0.0), (1, 0.5), (node, 2.5)], 3.0)]
+        return g, data, f"cascade 1 references node {node} outside the graph"
+
+    @pytest.mark.parametrize("model", ["asic", "aslt"])
+    def test_fit_and_loglik(self, case, model):
+        g, data, want = case
+        params = (AsicParams.shared(0.5, 1.0) if model == "asic"
+                  else AsltParams.shared(0.5, 1.0))
+        e_step = e_step_asic if model == "asic" else e_step_aslt
+        with pytest.raises(CascadeError, match=want):
+            fit(model, g, data)
+        with pytest.raises(CascadeError, match=want):
+            e_step(g, data, params)
+        with pytest.raises(CascadeError, match=want):
+            loglik(model, g, params, DelayMode.LINK, data)
+
+    def test_select_model(self, case):
+        g, data, want = case
+        with pytest.raises(CascadeError, match=want):
+            select_model(g, data)
 
 
 class TestFrontier:

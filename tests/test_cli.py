@@ -180,6 +180,25 @@ class TestLearnSelect:
         assert rep["chosen"] == ("asic" if rep["score_asic"] <= rep["score_aslt"]
                                  else "aslt")
 
+    @pytest.mark.parametrize("command", ["learn", "select"])
+    @pytest.mark.parametrize("node", [-2, 9])
+    def test_node_outside_graph_exits_1(self, tmp_path, capsys, command,
+                                        node):
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n1 2\n")
+        casc = tmp_path / "c.jsonl"
+        casc.write_text("".join(json.dumps(rec) + "\n" for rec in [
+            {"id": "a", "events": [[0, 0.0], [1, 1.0], [2, 2.0]],
+             "horizon": 3.0},
+            {"id": "b", "events": [[0, 0.0], [1, 0.5], [node, 2.5]],
+             "horizon": 3.0}]))
+        rc = _run([command, "--graph", graph, "--cascades", casc,
+                   "--out", tmp_path / "out.json"]
+                  + (["--model", "asic"] if command == "learn" else []))
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: cascade 1 references node {node} outside the graph\n")
+
     def test_select_single_event_topic_skipped(self, tmp_path, graph_file):
         casc = tmp_path / "one.jsonl"
         casc.write_text(json.dumps(

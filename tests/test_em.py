@@ -7,12 +7,15 @@ from difflab import (AsicParams, AsltParams, Cascade, DelayMode,
                      DirectedGraph, EmConfig, EstimationError, ParameterError,
                      e_step_asic, e_step_aslt, erdos_renyi, fit,
                      generate_training_set, load_params, loglik, m_step_asic,
-                     m_step_aslt, param_error, save_params)
+                     m_step_aslt, param_error, preferential_attachment,
+                     save_params)
 from difflab.cascade import effective_parents, frontier
+from difflab.em import _Stats
 from difflab.params import PER_LINK, SHARED
 from difflab.rng import derive_rng
 
-from oracles import random_consistent_cascades
+from oracles import (ZeroProbabilityEvent, em_stats_loop,
+                     random_consistent_cascades)
 
 LINK = DelayMode.LINK
 
@@ -247,6 +250,81 @@ class TestStatsStructure:
             e_step(g, data, params)
         with pytest.raises(EstimationError, match=want):
             fit(model, g, data)
+
+
+def assert_stats_match_loop(g, data, model):
+    """``_Stats`` equals the reference loop field by field, to the byte, or
+    both reject the data with the same message."""
+    try:
+        want = em_stats_loop(g, data, model)
+    except ZeroProbabilityEvent as exc:
+        with pytest.raises(EstimationError) as got:
+            _Stats(g, data, model)
+        assert str(got.value) == str(exc)
+        return
+    stats = _Stats(g, data, model)
+    assert set(_Stats.__slots__) == set(want) | {"g"}
+    assert stats.g is g
+    for name, value in want.items():
+        got = getattr(stats, name)
+        if isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype, name
+            assert got.shape == value.shape, name
+            assert got.tobytes() == value.tobytes(), name
+        else:
+            assert type(got) is int and got == value, name
+
+
+class TestStatsAgainstLoop:
+    """The vectorised statistics builder against the per-entry loop."""
+
+    @pytest.mark.parametrize("model", ["asic", "aslt"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_training_sets(self, seed, model):
+        g, _, data = _instance(seed, model)
+        pa = preferential_attachment(300, 3, seed)
+        params = (AsicParams.shared(0.2, 1.0) if model == "asic"
+                  else AsltParams.shared(0.9, 1.0))
+        pa_data = generate_training_set(pa, params, model, LINK, 600, 5,
+                                        (seed, "pa"), max_attempts=50_000)
+        for built_for in ("asic", "aslt"):
+            assert_stats_match_loop(g, data, built_for)
+            assert_stats_match_loop(pa, pa_data, built_for)
+
+    @pytest.mark.parametrize("model", ["asic", "aslt"])
+    def test_random_consistent_cascades(self, model):
+        for seed in range(4):
+            assert_stats_match_loop(*_random_data(seed), model)
+
+    @pytest.mark.parametrize("model", ["asic", "aslt"])
+    def test_simultaneous_seeds_and_empty_cascades(self, model):
+        g = DirectedGraph(6, [(0, 1), (0, 2), (1, 2), (3, 2), (3, 4),
+                              (2, 5), (4, 5), (5, 0)])
+        data = [Cascade([], 1.0),
+                Cascade([(0, 0.0), (3, 0.0), (1, 0.5), (4, 0.5), (2, 0.5),
+                         (5, 1.5)], 4.0),
+                Cascade([], 2.0),
+                Cascade([(3, 1.0), (0, 1.0)], 1.0),
+                Cascade([(1, 0.0), (2, 0.25)], 3.0)]
+        assert_stats_match_loop(g, data, model)
+        stats = _Stats(g, data, model)
+        assert stats.group_m.tolist() == [1, 1, 1, 1, 4]
+        assert stats.group_node.tolist() == [1, 2, 4, 5, 2]
+        # Node 2 ties with parent 1 at t=0.5, so only 0 and 3 explain it.
+        assert [g.edges[e] for e in stats.link[stats.group == 1]] == [
+            (0, 2), (3, 2)]
+
+    @pytest.mark.parametrize("model", ["asic", "aslt"])
+    def test_zero_probability_event(self, model):
+        g = DirectedGraph(3, [(0, 1), (1, 2)])
+        data = [Cascade([(0, 0.0), (1, 1.0)], 2.0),
+                Cascade([(0, 0.0), (2, 0.5), (1, 1.0)], 2.0)]
+        want = ("cascade 1: node 2 activated at t=0.5 with no possible "
+                "activator (zero-probability event)")
+        with pytest.raises(EstimationError) as exc:
+            _Stats(g, data, model)
+        assert str(exc.value) == want
+        assert_stats_match_loop(g, data, model)
 
 
 class TestFitContract:

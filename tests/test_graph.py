@@ -1,3 +1,6 @@
+import pickle
+
+import numpy as np
 import pytest
 
 from difflab import (DirectedGraph, EdgeListParseError, GraphValidationError,
@@ -78,6 +81,70 @@ class TestDirectedGraph:
         g = DirectedGraph(3, [(2, 0), (0, 1)])
         for i, e in enumerate(g.edges):
             assert g.edge_id(*e) == i
+
+    @pytest.mark.parametrize("u,v", [(1, 0), (0, 2), (2, 2), (-1, 0),
+                                     (0, -2), (3, 0), (0, 3)])
+    def test_non_edge(self, u, v):
+        g = DirectedGraph(3, [(2, 0), (0, 1)])
+        assert not g.has_edge(u, v)
+        with pytest.raises(KeyError):
+            g.edge_id(u, v)
+
+    def test_reversed_edge_absent(self):
+        g = erdos_renyi(30, 0.1, seed=4)
+        edges = set(g.edges)
+        assert any((v, u) not in edges for u, v in edges)
+        for u, v in edges:
+            assert g.has_edge(u, v)
+            assert g.has_edge(v, u) == ((v, u) in edges)
+
+    @pytest.mark.parametrize("g", [DirectedGraph(0, []), DirectedGraph(3, []),
+                                   DirectedGraph(4, [(3, 0), (0, 2), (1, 2),
+                                                     (0, 1), (2, 0)]),
+                                   erdos_renyi(40, 0.1, seed=3),
+                                   preferential_attachment(60, 2, seed=3)])
+    def test_csr_index_matches_tuples(self, g):
+        n, m = g.node_count, g.edge_count
+        assert list(g.edges) == sorted(g.edges)
+        assert g.edge_count == len(g.edges)
+        for arr in (g.out_ptr, g.tails, g.heads, g.in_ptr, g.in_edges,
+                    g.in_degree):
+            assert arr.dtype == np.intp
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[:1] = 0
+        assert len(g.out_ptr) == len(g.in_ptr) == n + 1
+        assert list(zip(g.tails.tolist(), g.heads.tolist())) == list(g.edges)
+        assert g.out_ptr[-1] == g.in_ptr[-1] == m
+        for u in range(n):
+            lo, hi = g.out_ptr[u], g.out_ptr[u + 1]
+            assert tuple(g.heads[lo:hi].tolist()) == g.out_adj[u]
+            assert set(g.tails[lo:hi].tolist()) <= {u}
+        for v in range(n):
+            ids = g.in_edges[g.in_ptr[v]:g.in_ptr[v + 1]]
+            assert tuple(g.tails[ids].tolist()) == g.in_adj[v]
+            assert set(g.heads[ids].tolist()) <= {v}
+            assert g.in_degree[v] == len(g.in_adj[v])
+        assert sorted(g.in_edges.tolist()) == list(range(m))
+
+    def test_pickle_round_trip(self):
+        g = DirectedGraph(5, [(4, 0), (0, 2), (1, 2), (0, 2), (2, 4)],
+                          labels=[10, 11, 12, 13, 14])
+        h = pickle.loads(pickle.dumps(g))
+        assert h.edges == g.edges
+        assert h.labels == g.labels
+        assert h.duplicate_count == g.duplicate_count == 1
+        assert h.out_adj == g.out_adj and h.in_adj == g.in_adj
+        for name in ("out_ptr", "tails", "heads", "in_ptr", "in_edges",
+                     "in_degree"):
+            assert np.array_equal(getattr(h, name), getattr(g, name))
+            assert not getattr(h, name).flags.writeable
+
+    def test_duplicates_counted_by_graph(self):
+        g = DirectedGraph(3, [(0, 1), (0, 1), (1, 2), (0, 1)],
+                          duplicate_count=4)
+        assert g.edge_count == 2
+        assert g.duplicate_count == 6
 
 
 class TestMeanOutDegree:
