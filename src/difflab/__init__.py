@@ -22,8 +22,8 @@ from .cascade import (Cascade, CascadeSet, dumps_cascades, effective_parents,
 from .centrality import (RankedList, centrality, rank_by_score,
                          ranking_similarity)
 from .em import (EmConfig, EmTrace, Responsibilities, e_step_asic,
-                 e_step_aslt, fit, load_params, m_step_asic, m_step_aslt,
-                 param_error, save_params)
+                 e_step_aslt, fit, fit_batch, load_params, m_step_asic,
+                 m_step_aslt, param_error, save_params)
 from .errors import (CascadeError, DiffLabError, EdgeListParseError,
                      EstimationError, GraphValidationError,
                      InsufficientDataError, ParameterError,
@@ -40,7 +40,7 @@ from .likelihood import (NodeDensityTerms, g_asic, g_aslt, h_asic, h_aslt,
 from .params import (PER_LINK, SHARED, AsicParams, AsltParams, DelayMode)
 from .select import (ObservationPeriods, SelectionReport,
                      build_observation_periods, predictive_score,
-                     select_model)
+                     select_model, select_topics)
 from .simulate import generate_training_set, simulate_asic, simulate_aslt
 
 __all__ = [name for name in dir() if not name.startswith("_")]

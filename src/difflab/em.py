@@ -12,6 +12,14 @@ the time gaps between parent and child activations plus the failure structure
 of each cascade.  Shared mode pools every link into one (p, r) or (q, r)
 pair; per-link mode keeps one parameter per edge, and edges never touched by
 the data keep their current values (counted as warnings).
+
+One loop serves both models and both modes.  In shared mode it fits a
+batch of independent problems in lockstep (``fit_batch``; ``fit`` is the
+batch of one): one statistics build over all their cascades, theta as one
+(strength, rate) pair per problem, and each problem's own convergence
+test, cap and errors.  Shared-mode totals are ``bincount`` sums, which run
+in input order within each problem, so a problem's result does not depend
+on its batch.  Per-link totals stay plain ``.sum()`` reductions.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 
@@ -115,6 +123,22 @@ def _segments(ptr, nodes):
     return owner, pos
 
 
+class _ZeroProbability(EstimationError):
+    """An activation with no earlier active parent.  With stacked problems
+    (``problem[m]`` owns cascade m) the message counts cascades within the
+    problem, and ``problem`` names it."""
+
+    def __init__(self, m, node, t, problem=None):
+        b = 0
+        if problem is not None:
+            b = int(problem[m])
+            m -= int(np.searchsorted(problem, b))
+        super().__init__(
+            f"cascade {m}: node {node} activated at t={float(t)} with no "
+            f"possible activator (zero-probability event)")
+        self.problem = b
+
+
 class _Stats:
     """Flattened (cascade, child, parent) structure for vectorized passes.
 
@@ -124,25 +148,30 @@ class _Stats:
     ``dt``, group ``group``).
 
     Failure block (cascade model): one term per active node u and inactive
-    child w (edge ``fail_edges``, remaining window ``fail_dt``).
+    child w (edge ``fail_edges``, remaining window ``fail_dt``, cascade
+    ``fail_m``).
 
     Frontier block (threshold model): one group per frontier node, from
     cascade ``f_group_m`` at node ``f_group_node`` with ``f_group_nb``
     parents of which ``f_group_k`` are active; one ``f_`` entry per active
     parent (window ``f_dt``) and one ``i_`` entry per never-active parent.
 
-    The block a model does not use stays empty.  Entries follow cascade,
-    then node, then parent order, which fixes the order of every sum.
+    The block a model does not use stays empty, and so does the ``i_``
+    block without ``never_active`` (only per-link passes and ``e_step_aslt``
+    read it).  Entries follow cascade, then node, then parent order, which
+    fixes the order of every sum.  ``problem`` (one index per cascade,
+    ascending) only numbers the cascade of a zero-probability error within
+    its problem.
     """
 
-    __slots__ = ("g", "dt", "group", "link", "n_groups", "n_plus",
+    __slots__ = ("g", "dt", "group", "link", "n_groups",
                  "group_m", "group_node", "group_nb",
-                 "fail_edges", "fail_dt", "fail_total",
-                 "f_dt", "f_group", "f_link", "f_nb", "n_f_groups",
+                 "fail_edges", "fail_dt", "fail_m",
+                 "f_dt", "f_group", "f_link", "n_f_groups",
                  "f_group_nb", "f_group_k", "f_group_node", "f_group_m",
                  "i_link", "i_group")
 
-    def __init__(self, g, data, model):
+    def __init__(self, g, data, model, problem=None, never_active=True):
         check_in_graph(g, data)
         n = g.node_count
         lens = np.array([len(c.events) for c in data], dtype=np.intp)
@@ -174,16 +203,12 @@ class _Stats:
         opened = np.bincount(owner[keep], minlength=len(act))
         if not opened.all():
             i = act[np.argmin(opened)]
-            raise EstimationError(
-                f"cascade {ev_m[i]}: node {ev_node[i]} activated at "
-                f"t={float(ev_time[i])} with no possible activator "
-                f"(zero-probability event)")
+            raise _ZeroProbability(ev_m[i], ev_node[i], ev_time[i], problem)
         self.g = g
         self.dt = tv[keep] - tu[keep]
         self.group = owner[keep]
         self.link = edge[keep]
         self.n_groups = len(act)
-        self.n_plus = len(self.dt)
         self.group_m = ev_m[act]
         self.group_node = ev_node[act]
         self.group_nb = g.in_degree[self.group_node].astype(np.float64)
@@ -192,35 +217,71 @@ class _Stats:
         owner, out_edge = _segments(g.out_ptr, ev_node)
         child = ev_m[owner] * n + g.heads[out_edge]
         missed = ~time_of(child)[1]
+        owner, out_edge, child = owner[missed], out_edge[missed], child[missed]
         if model == "asic":
-            self.fail_edges = out_edge[missed]
-            owner = owner[missed]
-            self.fail_dt = horizon[ev_m[owner]] - ev_time[owner]
-            front = np.zeros(0, dtype=np.intp)
+            self.fail_edges = out_edge
+            self.fail_m = ev_m[owner]
+            self.fail_dt = horizon[self.fail_m] - ev_time[owner]
+            owner = out_edge = child = owner[:0]  # no frontier block
         else:
             self.fail_edges = np.zeros(0, dtype=np.intp)
             self.fail_dt = np.zeros(0)
-            # Each frontier node once per cascade (keys m * n + v, sorted).
-            front = np.unique(child[missed])
-        self.fail_total = len(self.fail_edges)
+            self.fail_m = np.zeros(0, dtype=np.intp)
 
-        # Frontier block: every parent of each frontier node.
-        f_m, f_node = np.divmod(front, max(n, 1))
-        owner, edge = _segments(g.in_ptr, f_node)
-        edge = g.in_edges[edge]
-        tu, active = time_of(f_m[owner] * n + g.tails[edge])
-        self.f_dt = horizon[f_m[owner[active]]] - tu[active]
-        self.f_group = owner[active]
-        self.f_link = edge[active]
-        self.i_link = edge[~active]
-        self.i_group = owner[~active]
+        # Frontier block: each missed edge u -> w makes w a frontier node
+        # with active parent u.  Entries run by cascade, then by w's
+        # in-edges, which are ordered by head, then parent.
+        in_pos = np.empty(g.edge_count, dtype=np.intp)
+        in_pos[g.in_edges] = np.arange(g.edge_count)
+        order = np.argsort(ev_m[owner] * g.edge_count + in_pos[out_edge])
+        owner, child = owner[order], child[order]
+        opens = np.ones(len(child), dtype=bool)
+        opens[1:] = child[1:] != child[:-1]
+        front = child[opens]
+        self.f_dt = horizon[ev_m[owner]] - ev_time[owner]
+        self.f_group = np.cumsum(opens) - 1
+        self.f_link = out_edge[order]
         self.n_f_groups = len(front)
+        f_m, f_node = np.divmod(front, max(n, 1))
+        if never_active:
+            owner, edge = _segments(g.in_ptr, f_node)
+            edge = g.in_edges[edge]
+            inactive = ~time_of(f_m[owner] * n + g.tails[edge])[1]
+            self.i_link, self.i_group = edge[inactive], owner[inactive]
+        else:
+            self.i_link = self.i_group = np.zeros(0, dtype=np.intp)
         self.f_group_nb = g.in_degree[f_node].astype(np.float64)
-        self.f_nb = self.f_group_nb[self.f_group]
         self.f_group_k = np.bincount(
             self.f_group, minlength=len(front)).astype(np.float64)
         self.f_group_node = f_node
         self.f_group_m = f_m
+
+    def subset(self, keep):
+        """The statistics of the cascades where ``keep`` is true, entries
+        in the same order.  The never-active-parent block, which no
+        shared-mode pass reads, is left empty."""
+        out = object.__new__(type(self))
+        out.g = self.g
+        groups = keep[self.group_m]
+        entries = groups[self.group]
+        out.dt, out.link = self.dt[entries], self.link[entries]
+        out.group = (np.cumsum(groups) - 1)[self.group[entries]]
+        out.group_m = self.group_m[groups]
+        out.group_node = self.group_node[groups]
+        out.group_nb = self.group_nb[groups]
+        out.n_groups = len(out.group_m)
+        fails = keep[self.fail_m]
+        out.fail_edges = self.fail_edges[fails]
+        out.fail_dt, out.fail_m = self.fail_dt[fails], self.fail_m[fails]
+        groups = keep[self.f_group_m]
+        entries = groups[self.f_group]
+        out.f_dt, out.f_link = self.f_dt[entries], self.f_link[entries]
+        out.f_group = (np.cumsum(groups) - 1)[self.f_group[entries]]
+        for name in ("f_group_nb", "f_group_k", "f_group_node", "f_group_m"):
+            setattr(out, name, getattr(self, name)[groups])
+        out.n_f_groups = len(out.f_group_m)
+        out.i_link = out.i_group = np.zeros(0, dtype=np.intp)
+        return out
 
     def keys(self, group_m, group, link):
         """(cascade, parent, child) of each entry of one block, given the
@@ -229,24 +290,106 @@ class _Stats:
         return [(m, *edges[e])
                 for m, e in zip(group_m[group].tolist(), link.tolist())]
 
-    def check_density(self, dens):
-        """Raise on an activation whose density underflowed to 0."""
-        zero = dens == 0.0
-        if zero.any():
-            bad = int(np.argmax(zero))
-            raise EstimationError(
-                f"cascade {self.group_m[bad]}: activation density of node "
-                f"{self.group_node[bad]} underflowed to 0")
+
+# -- problem indexing --------------------------------------------------------
+#
+# An E or M pass gathers theta for each entry through an index object and
+# reduces per-entry terms to one total per problem with ``total(block, x)``,
+# where ``block`` names the entry kind: "link" (activation entries),
+# "group" (activation groups), "fail" (failure entries), "f_link" and
+# "f_group" (frontier entries and groups).
+
+
+class _Problems:
+    """Shared mode: ``n`` problems stacked in one statistics build, with
+    ``problem[m]`` owning cascade m (ascending).  Theta is a pair of
+    length-n arrays.  Every total is a ``bincount``, which adds each
+    problem's terms in entry order, so a problem's results do not depend on
+    which other problems share its build.
+
+    ``link``, ``f_link`` and ``f_group`` gather theta for the entries of
+    their block; with one problem they are ``...``, and the length-1 theta
+    broadcasts to the same values without a gather."""
+
+    def __init__(self, stats, problem, n):
+        self.n = n
+        self.problem = problem
+        self.first = np.searchsorted(problem, np.arange(n))
+        group = problem[stats.group_m]
+        f_group = problem[stats.f_group_m]
+        self.blocks = {"group": group, "link": group[stats.group],
+                       "fail": problem[stats.fail_m], "f_group": f_group,
+                       "f_link": f_group[stats.f_group]}
+        self.group = group
+        self.fail = self.blocks["fail"]
+        if n == 1:
+            self.link = self.f_link = self.f_group = ...
+        else:
+            self.link, self.f_link = self.blocks["link"], self.blocks["f_link"]
+            self.f_group = f_group
+        self.groups = np.bincount(group, minlength=n).astype(np.float64)
+        self.trials = (np.bincount(self.blocks["link"], minlength=n)
+                       + np.bincount(self.fail, minlength=n)).astype(
+                           np.float64)
+        self.log_nb = self.total("group", np.log(stats.group_nb))
+
+    def total(self, block, values):
+        return np.bincount(self.blocks[block], weights=values,
+                           minlength=self.n)
+
+    @staticmethod
+    def step(new, old):
+        return np.abs(new[0] - old[0]) + np.abs(new[1] - old[1])
+
+
+class _Links:
+    """Per-link mode: one problem whose theta is edge-indexed; totals are
+    plain sums."""
+
+    n = 1
+    first = np.zeros(1, dtype=np.intp)
+
+    def __init__(self, stats):
+        self.link = stats.link
+        self.fail = stats.fail_edges
+        self.group = np.zeros(stats.n_groups, dtype=np.intp)
+
+    @staticmethod
+    def total(block, values):
+        return np.array([values.sum()])
+
+    @staticmethod
+    def step(new, old):
+        return np.array([float(np.abs(new[0] - old[0]).sum()
+                               + np.abs(new[1] - old[1]).sum())])
+
+
+def _underflows(stats, at, dens, open_):
+    """Errors of the problems in ``open_`` with an activation density of 0,
+    each naming its first such activation."""
+    out = {}
+    for i in np.flatnonzero(dens == 0.0).tolist():
+        b = int(at.group[i])
+        if open_[b] and b not in out:
+            out[b] = EstimationError(
+                f"cascade {stats.group_m[i] - at.first[b]}: activation "
+                f"density of node {stats.group_node[i]} underflowed to 0")
+    return out
+
+
+def _check_density(stats, at, dens):
+    for exc in _underflows(stats, at, dens, [True]).values():
+        raise exc
 
 
 # -- E and M passes ---------------------------------------------------------
 #
-# theta = (strength, rate): two scalars in shared mode, two edge-indexed
-# vectors in per-link mode.  An E pass returns (terms, loglik); an M pass
-# maps (terms, theta) to the next theta.
+# theta = (strength, rate): one value per problem in shared mode, one per
+# edge in per-link mode.  An E pass returns (terms, loglik per problem,
+# activation densities); an M pass maps (terms, theta) to the next theta.
 
 
-def _asic_e(stats, theta, finite=False):
+def _asic_e(stats, at, theta, finite=False):
     """Cascade-model terms (alpha, beta, beta_fail) and log-likelihood.
 
     With ``finite=True`` each observed non-activation keeps the within-window
@@ -255,47 +398,39 @@ def _asic_e(stats, theta, finite=False):
     pending at the horizon".
     """
     p, r = theta
-    if isinstance(p, np.ndarray):
-        p_arr, r_arr, fail_p = p[stats.link], r[stats.link], p[stats.fail_edges]
-        fail_r = r[stats.fail_edges] if finite else None
-    else:
-        p_arr, r_arr, fail_p, fail_r = p, r, np.full(stats.fail_total, p), r
+    p_arr, r_arr, fail_p = p[at.link], r[at.link], p[at.fail]
     ee = np.exp(-r_arr * stats.dt)
     pe = p_arr * ee
     y = pe + (1.0 - p_arr)
     w = r_arr * pe / y
     group_sum = np.bincount(stats.group, weights=w, minlength=stats.n_groups)
-    stats.check_density(group_sum)
     alpha = w / group_sum[stats.group]
     beta = pe / y
     if finite:
-        pef = fail_p * np.exp(-fail_r * stats.fail_dt)
+        pef = fail_p * np.exp(-r[at.fail] * stats.fail_dt)
         yf = pef + (1.0 - fail_p)
         beta_fail = pef / yf
-        fail_ll = np.log(yf).sum()
+        fail_ll = np.log(yf)
     else:
         beta_fail = None
-        with np.errstate(divide="ignore"):
-            fail_ll = np.log1p(-fail_p).sum()
-    with np.errstate(divide="ignore"):
-        ll = float(np.log(y).sum() + np.log(group_sum).sum() + fail_ll)
-    return (alpha, beta, beta_fail), ll
+        fail_ll = np.log1p(-fail_p)
+    ll = (at.total("link", np.log(y)) + at.total("group", np.log(group_sum))
+          + at.total("fail", fail_ll))
+    return (alpha, beta, beta_fail), ll, group_sum
 
 
-def _asic_m_shared(stats, terms, theta):
+def _asic_m_shared(stats, at, terms, theta):
     alpha, beta, beta_fail = terms
     gamma = alpha + (1.0 - alpha) * beta
-    den_r = float((gamma * stats.dt).sum())
-    num_p = float(gamma.sum())
+    den_r = at.total("link", gamma * stats.dt)
+    num_p = at.total("link", gamma)
     if beta_fail is not None:
-        den_r += float((beta_fail * stats.fail_dt).sum())
-        num_p += float(beta_fail.sum())
-    r_new = stats.n_groups / den_r
-    p_new = num_p / (stats.n_plus + stats.fail_total)
-    return _clamp_prob(p_new), _clamp_rate(r_new)
+        den_r += at.total("fail", beta_fail * stats.fail_dt)
+        num_p += at.total("fail", beta_fail)
+    return _clamp(num_p / at.trials, at.groups / den_r)
 
 
-def _asic_m_per_link(stats, terms, theta):
+def _asic_m_per_link(stats, at, terms, theta):
     alpha, beta, beta_fail = terms
     p_vec, r_vec = theta
     n_edges = len(p_vec)
@@ -321,43 +456,53 @@ def _asic_m_per_link(stats, terms, theta):
     return p_new, r_new
 
 
-def _aslt_e_shared(stats, theta):
+def _aslt_e_shared(stats, at, theta):
     """Threshold-model terms (phi, psi, varphi_slack, varphi_inact, gvals)
     and log-likelihood; ``varphi_inact`` is per frontier group."""
     q, r = theta
-    e_h = np.exp(-r * stats.dt)
+    neg_r = -r  # negated before the gathers, to the same bits
+    e_h = np.exp(neg_r[at.link] * stats.dt)
     h_sum = np.bincount(stats.group, weights=e_h, minlength=stats.n_groups)
-    stats.check_density(h_sum)
     phi = e_h / h_sum[stats.group]
-    e_g = np.exp(-r * stats.f_dt)
+    e_g = np.exp(neg_r[at.f_link] * stats.f_dt)
     tail_sum = np.bincount(stats.f_group, weights=e_g,
                            minlength=stats.n_f_groups)
     nb = stats.f_group_nb
-    gvals = (1.0 - q) + q * (nb - stats.f_group_k) / nb + (q / nb) * tail_sum
-    psi = (q / stats.f_nb) * e_g / gvals[stats.f_group]
-    varphi_slack = (1.0 - q) / gvals
-    varphi_inact_total = (nb - stats.f_group_k) * (q / nb) / gvals
-    with np.errstate(divide="ignore"):
-        ll = float(stats.n_groups * (math.log(q) + math.log(r))
-                   - np.log(stats.group_nb).sum()
-                   + np.log(h_sum).sum()
-                   + np.log(gvals).sum())
-    return (phi, psi, varphi_slack, varphi_inact_total, gvals), ll
+    free = nb - stats.f_group_k  # never-active parents per frontier group
+    q_g = q[at.f_group]
+    slack = 1.0 - q_g
+    q_nb = q_g / nb
+    gvals = slack + q_g * free / nb + q_nb * tail_sum
+    psi = q_nb[stats.f_group] * e_g / gvals[stats.f_group]
+    varphi_slack = slack / gvals
+    varphi_inact_total = free * q_nb / gvals
+    ll = (at.groups * (np.log(q) + np.log(r)) - at.log_nb
+          + at.total("group", np.log(h_sum))
+          + at.total("f_group", np.log(gvals)))
+    return (phi, psi, varphi_slack, varphi_inact_total, gvals), ll, h_sum
 
 
-def _aslt_e_per_link(stats, theta, slack_vec):
+def _aslt_slack(g, q_vec):
+    """Residual self weight 1 - sum of incoming weights of every node,
+    floored at 0, from edge-indexed weights."""
+    slack = np.ones(g.node_count)
+    np.subtract.at(slack, g.heads, q_vec)
+    return np.maximum(slack, 0.0)
+
+
+def _aslt_e_per_link(stats, at, theta):
     """Like ``_aslt_e_shared``, with ``varphi_inact`` per ``i_`` entry and
-    each node's slack weight from ``slack_vec``."""
+    each node's slack weight from ``_aslt_slack``."""
     q_vec, r_vec = theta
+    slack_vec = _aslt_slack(stats.g, q_vec)
     q_arr = q_vec[stats.link]
     r_arr = r_vec[stats.link]
     term = q_arr * r_arr * np.exp(-r_arr * stats.dt)
     h_sum = np.bincount(stats.group, weights=term, minlength=stats.n_groups)
-    stats.check_density(h_sum)
     phi = term / h_sum[stats.group]
     rf = r_vec[stats.f_link]
     tail = q_vec[stats.f_link] * np.exp(-rf * stats.f_dt)
-    gvals = slack_vec[stats.f_group_node].astype(float)
+    gvals = slack_vec[stats.f_group_node]
     gvals += np.bincount(stats.f_group, weights=tail,
                          minlength=stats.n_f_groups)
     if len(stats.i_link):
@@ -368,23 +513,30 @@ def _aslt_e_per_link(stats, theta, slack_vec):
                     if len(stats.i_link) else np.zeros(0))
     varphi_slack = (slack_vec[stats.f_group_node] / gvals
                     if stats.n_f_groups else np.zeros(0))
-    with np.errstate(divide="ignore"):
-        ll = float(np.log(h_sum).sum() + np.log(gvals).sum())
-    return (phi, psi, varphi_slack, varphi_inact, gvals), ll
+    ll = at.total("group", np.log(h_sum)) + at.total("f_group", np.log(gvals))
+    return (phi, psi, varphi_slack, varphi_inact, gvals), ll, h_sum
 
 
-def _aslt_m_shared(stats, terms, theta):
+def _aslt_m_shared(stats, at, terms, theta):
     phi, psi, varphi_slack, varphi_inact_total, _ = terms
     q, r = theta
-    a = stats.n_groups + float(psi.sum()) + float(varphi_inact_total.sum())
-    b = float(varphi_slack.sum())
-    q_new = a / (a + b) if (a + b) > 0 else q
-    denom = float((phi * stats.dt).sum() + (psi * stats.f_dt).sum())
-    r_new = stats.n_groups / denom if denom > 0 else r
-    return min(max(q_new, PROB_FLOOR), 1.0), _clamp_rate(r_new)
+    a = (at.groups + at.total("f_link", psi)
+         + at.total("f_group", varphi_inact_total))
+    b = at.total("f_group", varphi_slack)
+    ab = a + b
+    denom = (at.total("link", phi * stats.dt)
+             + at.total("f_link", psi * stats.f_dt))
+    return _clamp(np.where(ab > 0, a / ab, q),
+                  np.where(denom > 0, at.groups / denom, r))
 
 
-def _aslt_m_per_link(stats, terms, theta):
+def _clamp(strength, rate):
+    """Shared theta kept in (0, 1] x [RATE_FLOOR, RATE_CEIL]."""
+    return (np.minimum(np.maximum(strength, PROB_FLOOR), 1.0),
+            np.minimum(np.maximum(rate, RATE_FLOOR), RATE_CEIL))
+
+
+def _aslt_m_per_link(stats, at, terms, theta):
     phi, psi, varphi_slack, varphi_inact, _ = terms
     q_vec, r_vec = theta
     n_edges = len(q_vec)
@@ -414,26 +566,18 @@ def _aslt_m_per_link(stats, terms, theta):
     return q_new, r_new
 
 
-def _clamp_prob(p):
-    return min(max(p, PROB_FLOOR), 1.0)
-
-
-def _clamp_rate(r):
-    return min(max(r, RATE_FLOOR), RATE_CEIL)
-
-
-def _check_loglik(ll, iteration=None):
+def _check_loglik(ll):
     if not math.isfinite(ll):
-        at = "" if iteration is None else f" at iteration {iteration}"
-        raise EstimationError(f"non-finite log-likelihood{at} ({ll})")
+        raise EstimationError(f"non-finite log-likelihood ({ll})")
 
 
 def _to_theta(g, model, params, per_link):
-    """``(strength, rate)`` of ``params``: its shared scalars, or edge-indexed
-    vectors when ``per_link`` (a shared weight q splits as q / |B(v)|)."""
+    """``(strength, rate)`` of ``params``: length-1 arrays of its shared
+    values, or edge-indexed vectors when ``per_link`` (a shared weight q
+    splits as q / |B(v)|)."""
     strength = params.p if model == "asic" else params.q
     if not per_link:
-        return strength, params.r
+        return np.array([strength]), np.array([params.r])
     if params.mode == PER_LINK:
         return (np.asarray([strength[e] for e in g.edges]),
                 np.asarray([params.r[e] for e in g.edges]))
@@ -445,11 +589,12 @@ def _to_theta(g, model, params, per_link):
 
 
 def _to_params(g, model, theta):
-    """Parameters holding ``theta``; per-link weights are kept >= PROB_FLOOR."""
+    """Parameters holding ``theta``: shared scalars, or edge-indexed vectors
+    with per-link weights kept >= PROB_FLOOR."""
     cls = AsicParams if model == "asic" else AsltParams
     strength, r = theta
-    if not isinstance(strength, np.ndarray):
-        return cls.shared(strength, r)
+    if np.ndim(strength) == 0:
+        return cls.shared(float(strength), float(r))
     if model == "aslt":
         strength = np.maximum(strength, PROB_FLOOR)
     return cls.per_link(dict(zip(g.edges, strength.tolist())),
@@ -474,98 +619,224 @@ def fit(model: str, g, data, config: EmConfig | None = None,
     completion well before its horizon) or "finite" (right-censored data,
     e.g. observation windows cut mid-diffusion).  The threshold model is
     always horizon-aware and ignores the flag.
+
+    A shared-mode fit is ``fit_batch`` on a batch of one.
     """
     if delay is not DelayMode.LINK:
         raise EstimationError(
             "learning is only supported for the link-delay variant")
-    if model not in ("asic", "aslt"):
-        raise ValueError(f"unknown model {model!r}")
-    if horizon_mode not in ("infinite", "finite"):
-        raise ValueError(f"unknown horizon mode {horizon_mode!r}")
+    _check_args(model, horizon_mode)
     if config is None:
         config = EmConfig()
     if len(data) == 0:
         raise EstimationError("cannot fit on an empty cascade set")
-    if init_params is not None:
-        if config.mode != SHARED:
-            raise EstimationError("warm starts require shared mode")
-        if model == "asic":
-            config = replace(config, init_p=min(init_params.p, 1.0 - 1e-9),
-                             init_r=init_params.r)
-        else:
-            config = replace(config, init_q=init_params.q,
-                             init_r=init_params.r)
-    stats = _Stats(g, data, model)
-    if stats.n_groups == 0:
-        raise EstimationError(
-            "no non-initial activations: nothing pins the delay rate")
-    shared = config.mode == SHARED
-    trace = EmTrace()
-    start = (AsicParams.shared(config.init_p, config.init_r)
-             if model == "asic"
-             else AsltParams.shared(config.init_q, config.init_r))
-    theta = _to_theta(g, model, start, per_link=not shared)
-    if not shared:
+    if init_params is not None and config.mode != SHARED:
+        raise EstimationError("warm starts require shared mode")
+    (result,) = _fit(model, g, [data], config, [init_params],
+                     horizon_mode == "finite")
+    if isinstance(result, EstimationError):
+        raise result
+    return result
+
+
+def fit_batch(model: str, g, problems, config: EmConfig | None = None,
+              starts=None, horizon_mode: str = "infinite"):
+    """Fit one shared-mode parameter pair per problem, all in lockstep.
+
+    ``problems`` is a list of cascade lists and ``starts`` an optional list
+    of warm-start parameters (``None`` entries start from ``config``).  One
+    statistics build covers every problem, and each E and M pass updates
+    all problems still iterating at once.  Each problem keeps its own
+    convergence test and cap, and its result does not depend on the other
+    problems in the batch: per-problem totals are sums in entry order.
+
+    Returns, per problem, ``(params, EmTrace)`` or the ``EstimationError``
+    that stopped it (a zero-probability activation, no non-initial
+    activation, a density underflow or a non-finite log-likelihood).
+    """
+    _check_args(model, horizon_mode)
+    if config is None:
+        config = EmConfig()
+    if config.mode != SHARED:
+        raise ParameterError("fit_batch fits shared-mode parameters only")
+    if not problems:
+        return []
+    if starts is None:
+        starts = [None] * len(problems)
+    return _fit(model, g, problems, config, starts, horizon_mode == "finite")
+
+
+def _check_args(model, horizon_mode):
+    if model not in ("asic", "aslt"):
+        raise ValueError(f"unknown model {model!r}")
+    if horizon_mode not in ("infinite", "finite"):
+        raise ValueError(f"unknown horizon mode {horizon_mode!r}")
+
+
+def _stack(g, problems, model, never_active):
+    """One statistics build over every problem's cascades, in problem
+    order.  A problem whose data pins no fit gets an error in place of its
+    cascades.  Returns ``(stats, problem index per cascade, errors)``."""
+    errors = {}
+    while True:
+        kept = [() if b in errors else data for b, data in enumerate(problems)]
+        problem = np.repeat(np.arange(len(kept)), [len(d) for d in kept])
+        try:
+            stats = _Stats(g, list(chain.from_iterable(kept)), model,
+                           problem, never_active)
+        except _ZeroProbability as exc:
+            errors[exc.problem] = exc
+            continue
+        groups = np.bincount(problem[stats.group_m], minlength=len(problems))
+        for b in np.flatnonzero(groups == 0).tolist():
+            errors.setdefault(b, EstimationError(
+                "no non-initial activations: nothing pins the delay rate"))
+        return stats, problem, errors
+
+
+def _start(model, config, params):
+    if params is None:
+        return (config.init_p if model == "asic" else config.init_q,
+                config.init_r)
+    if model == "asic":
+        return min(params.p, 1.0 - 1e-9), params.r
+    return params.q, params.r
+
+
+def _fit(model, g, problems, config, starts, finite):
+    """The one EM loop, over every problem of ``problems`` in lockstep.
+
+    Each pass runs the E step of all problems still open, then the M step.
+    A problem stops after the update whose L1 step is within tolerance
+    (converged) or after ``max_iterations`` updates (capped); one last E
+    pass scores its final theta.  A problem whose pass fails keeps its last
+    theta and gets an error instead of a result; the others go on.
+    """
+    per_link = config.mode == PER_LINK
+    stats, problem, errors = _stack(g, problems, model, never_active=per_link)
+    untouched = 0
+    if per_link:
+        at = _Links(stats)
+        shared = (AsicParams.shared(config.init_p, config.init_r)
+                  if model == "asic"
+                  else AsltParams.shared(config.init_q, config.init_r))
+        theta = _to_theta(g, model, shared, per_link=True)
         touched = np.zeros(g.edge_count, dtype=bool)
         for links in (stats.link, stats.fail_edges, stats.f_link,
                       stats.i_link):
             touched[links] = True
-        trace.untouched_links = int(g.edge_count - touched.sum())
-
+        untouched = int(g.edge_count - touched.sum())
+    else:
+        at = _Problems(stats, problem, len(problems))
+        theta = tuple(np.array(x, dtype=np.float64) for x in zip(
+            *(_start(model, config, s) for s in starts)))
     if model == "asic":
-        e_pass = partial(_asic_e, stats, finite=horizon_mode == "finite")
-        m_pass = _asic_m_shared if shared else _asic_m_per_link
-    elif shared:
-        e_pass, m_pass = partial(_aslt_e_shared, stats), _aslt_m_shared
+        e_pass = partial(_asic_e, finite=finite)
+        m_pass = _asic_m_per_link if per_link else _asic_m_shared
+    elif per_link:
+        e_pass, m_pass = _aslt_e_per_link, _aslt_m_per_link
     else:
-        def e_pass(theta):
-            slack = np.ones(g.node_count)
-            np.subtract.at(slack, g.heads, theta[0])
-            return _aslt_e_per_link(stats, theta, np.maximum(slack, 0.0))
+        e_pass, m_pass = _aslt_e_shared, _aslt_m_shared
 
-        m_pass = _aslt_m_per_link
+    n = at.n
+    live = np.ones(n, dtype=bool)
+    live[list(errors)] = False
+    n_live = n_view = np.count_nonzero(live)
+    last = np.zeros(n, dtype=bool)  # stopped; awaiting the final E pass
+    converged = np.zeros(n, dtype=bool)
+    iterations = np.zeros(n, dtype=np.intp)
+    lls, thetas = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(config.max_iterations + 1):
+            terms, ll, dens = e_pass(stats, at, theta)
+            lls.append(ll)
+            thetas.append(theta)
+            # A zero density makes its problem's loglik -inf, and one
+            # non-finite loglik makes the sum non-finite.
+            if not math.isfinite(np.add.reduce(ll)):
+                for b, exc in _underflows(stats, at, dens,
+                                          live | last).items():
+                    errors[b] = exc
+                    live[b] = False
+                for b in np.flatnonzero(live & ~np.isfinite(ll)).tolist():
+                    errors[b] = EstimationError(
+                        f"non-finite log-likelihood at iteration {it} "
+                        f"({float(ll[b])})")
+                    live[b] = False
+                n_live = np.count_nonzero(live)
+            if not n_live:
+                break
+            # Stopped problems keep updating until the passes drop them;
+            # their results are read from the history at their own stop.
+            new = m_pass(stats, at, terms, theta)
+            delta = at.step(new, theta)
+            theta = new
+            last = live & (delta <= config.tolerance)
+            if it + 1 == config.max_iterations:
+                for b in np.flatnonzero(live & ~last).tolist():
+                    _log.warning(
+                        "%s %s fit stopped unconverged at max_iterations=%d: "
+                        "last step %.3g > tolerance %.3g", model, config.mode,
+                        config.max_iterations, delta[b], config.tolerance)
+                converged |= last
+                last = live
+            elif np.count_nonzero(last):
+                converged |= last
+            else:
+                continue
+            iterations[last] = it + 1
+            live = live & ~last
+            n_live = np.count_nonzero(live)
+            # Once half the problems in the passes have stopped, the passes
+            # drop their entries; no other problem's sums change.
+            if 2 * np.count_nonzero(live | last) <= n_view:
+                n_view = np.count_nonzero(live | last)
+                stats = stats.subset((live | last)[at.problem])
+                at = _Problems(stats, at.problem, n)
 
-    trace.params_history.append(_snap(theta))
-    for it in range(config.max_iterations):
-        terms, ll = e_pass(theta)
-        _check_loglik(ll, it)
-        trace.loglik.append(ll)
-        new = m_pass(stats, terms, theta)
-        if shared:
-            delta = abs(new[0] - theta[0]) + abs(new[1] - theta[1])
+    lls = np.array(lls)
+    if not per_link:
+        strengths = np.array([s for s, _ in thetas])
+        rates = np.array([r for _, r in thetas])
+    results = []
+    for b in range(n):
+        if b in errors:
+            results.append(errors[b])
+            continue
+        k = int(iterations[b])
+        if per_link:
+            history = thetas[:k + 1]
+            params = _to_params(g, model, theta)
         else:
-            delta = float(np.abs(new[0] - theta[0]).sum()
-                          + np.abs(new[1] - theta[1]).sum())
-        theta = new
-        trace.params_history.append(_snap(theta))
-        trace.iterations = it + 1
-        if delta <= config.tolerance:
-            trace.converged = True
-            break
-    else:
-        _log.warning("%s %s fit stopped unconverged at max_iterations=%d: "
-                     "last step %.3g > tolerance %.3g", model, config.mode,
-                     config.max_iterations, delta, config.tolerance)
-    trace.loglik.append(e_pass(theta)[1])
-    return _to_params(g, model, theta), trace
-
-
-def _snap(theta):
-    a, b = theta
-    if isinstance(a, np.ndarray):
-        return (a.copy(), b.copy())
-    return (float(a), float(b))
+            history = list(zip(strengths[:k + 1, b].tolist(),
+                               rates[:k + 1, b].tolist()))
+            params = _to_params(g, model, history[-1])
+        results.append((params, EmTrace(
+            loglik=lls[:k + 1, b].tolist(), params_history=history,
+            converged=bool(converged[b]), iterations=k,
+            untouched_links=untouched)))
+    return results
 
 
 # -- single-step public surface ----------------------------------------------
 
 
+def _single(stats, data, params):
+    """The index of one problem: shared, or per-link for per-link params."""
+    if params is not None and params.mode == PER_LINK:
+        return _Links(stats)
+    return _Problems(stats, np.zeros(len(data), dtype=np.intp), 1)
+
+
 def e_step_asic(g, data, params) -> Responsibilities:
     """Responsibilities of the cascade model at the given parameters."""
     stats = _Stats(g, data, "asic")
-    terms, ll = _asic_e(stats, _to_theta(g, "asic", params,
-                                         params.mode == PER_LINK))
-    _check_loglik(ll)
+    at = _single(stats, data, params)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms, ll, dens = _asic_e(stats, at, _to_theta(
+            g, "asic", params, params.mode == PER_LINK))
+    _check_density(stats, at, dens)
+    _check_loglik(float(ll[0]))
     alpha, beta, _ = terms
     keys = stats.keys(stats.group_m, stats.group, stats.link)
     return Responsibilities(model="asic",
@@ -578,26 +849,29 @@ def m_step_asic(g, data, resp: Responsibilities, mode: str = SHARED):
     """One closed-form update from cascade-model responsibilities."""
     stats, terms, params = resp._ctx
     if mode == SHARED:
-        return _to_params(g, "asic", _asic_m_shared(stats, terms, None))
+        at = _single(stats, data, None)
+        s, r = _asic_m_shared(stats, at, terms, None)
+        return _to_params(g, "asic", (s[0], r[0]))
     theta = _to_theta(g, "asic", params, per_link=True)
-    return _to_params(g, "asic", _asic_m_per_link(stats, terms, theta))
+    return _to_params(g, "asic", _asic_m_per_link(stats, None, terms, theta))
 
 
 def e_step_aslt(g, data, params) -> Responsibilities:
     """Responsibilities of the threshold model at the given parameters."""
     stats = _Stats(g, data, "aslt")
-    if params.mode == SHARED:
-        terms, ll = _aslt_e_shared(stats, (params.q, params.r))
-        gvals = terms[4]
-        varphi_inact = ((params.q / stats.f_group_nb[stats.i_group])
-                        / gvals[stats.i_group])
-    else:
-        slack_vec = np.asarray([params.slack(g, v)
-                                for v in range(g.node_count)])
-        terms, ll = _aslt_e_per_link(
-            stats, _to_theta(g, "aslt", params, per_link=True), slack_vec)
-        varphi_inact = terms[3]
-    _check_loglik(ll)
+    at = _single(stats, data, params)
+    theta = _to_theta(g, "aslt", params, params.mode == PER_LINK)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if params.mode == SHARED:
+            terms, ll, dens = _aslt_e_shared(stats, at, theta)
+            gvals = terms[4]
+            varphi_inact = ((params.q / stats.f_group_nb[stats.i_group])
+                            / gvals[stats.i_group])
+        else:
+            terms, ll, dens = _aslt_e_per_link(stats, at, theta)
+            varphi_inact = terms[3]
+    _check_density(stats, at, dens)
+    _check_loglik(float(ll[0]))
     phi, psi, varphi_slack = terms[:3]
     varphi = dict(zip(stats.keys(stats.f_group_m, stats.i_group,
                                  stats.i_link), varphi_inact.tolist()))
@@ -621,12 +895,14 @@ def m_step_aslt(g, data, resp: Responsibilities, mode: str = SHARED):
         if params.mode != SHARED:
             raise EstimationError(
                 "shared update requires shared-mode responsibilities")
-        return _to_params(g, "aslt", _aslt_m_shared(stats, terms,
-                                                    (params.q, params.r)))
+        at = _single(stats, data, params)
+        s, r = _aslt_m_shared(stats, at, terms,
+                              _to_theta(g, "aslt", params, per_link=False))
+        return _to_params(g, "aslt", (s[0], r[0]))
     # Shared-mode terms hold per-group totals; the update needs per entry.
     terms = terms[:3] + (varphi_inact, None)
     theta = _to_theta(g, "aslt", params, per_link=True)
-    return _to_params(g, "aslt", _aslt_m_per_link(stats, terms, theta))
+    return _to_params(g, "aslt", _aslt_m_per_link(stats, None, terms, theta))
 
 
 def param_error(estimate: float, truth: float) -> float:

@@ -14,6 +14,8 @@ versions must reproduce the raw counts and the closeness scores bit for
 bit.  The last section keeps the package's earlier per-world percolation
 loop and its earlier closure-based simulator loops.  The faster versions
 must reproduce them bit for bit: same draws in the same order, same sums.
+The selection section keeps the earlier scalar shared-mode EM loop and the
+per-topic cutoff loop; lockstep selection must match them to rel 1e-9.
 """
 
 import itertools
@@ -243,7 +245,7 @@ def em_stats_loop(g, data, model):
     """
     edge_index = {e: i for i, e in enumerate(g.edges)}
     dts, groups, links, group_m, group_node = [], [], [], [], []
-    fail_edges, fail_dts = [], []
+    fail_edges, fail_dts, fail_ms = [], [], []
     f_dts, f_groups, f_links = [], [], []
     f_group_nb, f_group_k, f_group_node, f_group_m = [], [], [], []
     i_links, i_groups = [], []
@@ -278,6 +280,7 @@ def em_stats_loop(g, data, model):
                     if w not in times:
                         fail_edges.append(edge_index[(u, w)])
                         fail_dts.append(horizon - tu)
+                        fail_ms.append(m)
             continue
         front = {w for u in times for w in g.out_adj[u] if w not in times}
         for v in sorted(front):
@@ -304,14 +307,13 @@ def em_stats_loop(g, data, model):
         "group": np.asarray(groups, **ints),
         "link": np.asarray(links, **ints),
         "n_groups": len(group_m),
-        "n_plus": len(dts),
         "group_m": np.asarray(group_m, **ints),
         "group_node": np.asarray(group_node, **ints),
         "group_nb": np.asarray([len(g.in_adj[v]) for v in group_node],
                                **floats),
         "fail_edges": np.asarray(fail_edges, **ints),
         "fail_dt": np.asarray(fail_dts, **floats),
-        "fail_total": len(fail_edges),
+        "fail_m": np.asarray(fail_ms, **ints),
         "f_dt": np.asarray(f_dts, **floats),
         "f_group": np.asarray(f_groups, **ints),
         "f_link": np.asarray(f_links, **ints),
@@ -323,7 +325,6 @@ def em_stats_loop(g, data, model):
         "i_link": np.asarray(i_links, **ints),
         "i_group": np.asarray(i_groups, **ints),
     }
-    out["f_nb"] = out["f_group_nb"][out["f_group"]]
     return out
 
 
@@ -743,3 +744,186 @@ def run_aslt_closures(tables, delay, seeds, rng):
         else:
             receive(v, w, t, None)
     return events
+
+
+# -- per-topic selection with scalar shared-mode EM ---------------------------
+#
+# The package's earlier shared-mode fit (scalar theta, every total a pairwise
+# ``.sum()``) and the per-topic cutoff loop of ``select`` that called it once
+# per cutoff.  The lockstep path sums in entry order instead, so it matches
+# these to rounding, not to the bit.  The statistics come from the package's
+# builder, which is pinned to ``em_stats_loop`` above.
+
+PROB_FLOOR = 1e-12
+RATE_FLOOR = 1e-12
+RATE_CEIL = 1e12
+
+
+def _scalar_density_check(stats, dens):
+    from difflab import EstimationError
+    zero = dens == 0.0
+    if zero.any():
+        bad = int(np.argmax(zero))
+        raise EstimationError(
+            f"cascade {stats.group_m[bad]}: activation density of node "
+            f"{stats.group_node[bad]} underflowed to 0")
+
+
+def _scalar_asic_e(stats, p, r, finite):
+    ee = np.exp(-r * stats.dt)
+    pe = p * ee
+    y = pe + (1.0 - p)
+    w = r * pe / y
+    group_sum = np.bincount(stats.group, weights=w, minlength=stats.n_groups)
+    _scalar_density_check(stats, group_sum)
+    alpha = w / group_sum[stats.group]
+    beta = pe / y
+    if finite:
+        pef = p * np.exp(-r * stats.fail_dt)
+        yf = pef + (1.0 - p)
+        beta_fail = pef / yf
+        fail_ll = np.log(yf).sum()
+    else:
+        beta_fail = None
+        with np.errstate(divide="ignore"):
+            fail_ll = np.log1p(-np.full(len(stats.fail_dt), p)).sum()
+    with np.errstate(divide="ignore"):
+        ll = float(np.log(y).sum() + np.log(group_sum).sum() + fail_ll)
+    return (alpha, beta, beta_fail), ll
+
+
+def _scalar_asic_m(stats, terms, theta):
+    alpha, beta, beta_fail = terms
+    gamma = alpha + (1.0 - alpha) * beta
+    den_r = float((gamma * stats.dt).sum())
+    num_p = float(gamma.sum())
+    if beta_fail is not None:
+        den_r += float((beta_fail * stats.fail_dt).sum())
+        num_p += float(beta_fail.sum())
+    r_new = stats.n_groups / den_r
+    p_new = num_p / (len(stats.dt) + len(stats.fail_dt))
+    return (min(max(p_new, PROB_FLOOR), 1.0),
+            min(max(r_new, RATE_FLOOR), RATE_CEIL))
+
+
+def _scalar_aslt_e(stats, q, r):
+    e_h = np.exp(-r * stats.dt)
+    h_sum = np.bincount(stats.group, weights=e_h, minlength=stats.n_groups)
+    _scalar_density_check(stats, h_sum)
+    phi = e_h / h_sum[stats.group]
+    e_g = np.exp(-r * stats.f_dt)
+    tail_sum = np.bincount(stats.f_group, weights=e_g,
+                           minlength=stats.n_f_groups)
+    nb = stats.f_group_nb
+    gvals = (1.0 - q) + q * (nb - stats.f_group_k) / nb + (q / nb) * tail_sum
+    psi = (q / stats.f_group_nb[stats.f_group]) * e_g / gvals[stats.f_group]
+    varphi_slack = (1.0 - q) / gvals
+    varphi_inact_total = (nb - stats.f_group_k) * (q / nb) / gvals
+    with np.errstate(divide="ignore"):
+        ll = float(stats.n_groups * (math.log(q) + math.log(r))
+                   - np.log(stats.group_nb).sum()
+                   + np.log(h_sum).sum()
+                   + np.log(gvals).sum())
+    return (phi, psi, varphi_slack, varphi_inact_total), ll
+
+
+def _scalar_aslt_m(stats, terms, theta):
+    phi, psi, varphi_slack, varphi_inact_total = terms
+    q, r = theta
+    a = stats.n_groups + float(psi.sum()) + float(varphi_inact_total.sum())
+    b = float(varphi_slack.sum())
+    q_new = a / (a + b) if (a + b) > 0 else q
+    denom = float((phi * stats.dt).sum() + (psi * stats.f_dt).sum())
+    r_new = stats.n_groups / denom if denom > 0 else r
+    return (min(max(q_new, PROB_FLOOR), 1.0),
+            min(max(r_new, RATE_FLOOR), RATE_CEIL))
+
+
+def fit_shared_scalar(model, g, data, config, init_params=None,
+                      horizon_mode="infinite"):
+    """Shared-mode EM one problem at a time with scalar (strength, rate).
+
+    Returns (params, iterations, converged); raises the package's
+    ``EstimationError`` where its earlier ``fit`` did.
+    """
+    from difflab import AsicParams, AsltParams, EstimationError
+    from difflab.em import _Stats
+    if len(data) == 0:
+        raise EstimationError("cannot fit on an empty cascade set")
+    if init_params is None:
+        theta = (config.init_p if model == "asic" else config.init_q,
+                 config.init_r)
+    elif model == "asic":
+        theta = (min(init_params.p, 1.0 - 1e-9), init_params.r)
+    else:
+        theta = (init_params.q, init_params.r)
+    stats = _Stats(g, data, model)
+    if stats.n_groups == 0:
+        raise EstimationError(
+            "no non-initial activations: nothing pins the delay rate")
+    if model == "asic":
+        def e_pass(th):
+            return _scalar_asic_e(stats, *th, horizon_mode == "finite")
+        m_pass = _scalar_asic_m
+    else:
+        def e_pass(th):
+            return _scalar_aslt_e(stats, *th)
+        m_pass = _scalar_aslt_m
+    converged = False
+    iterations = 0
+    for it in range(config.max_iterations):
+        terms, ll = e_pass(theta)
+        if not math.isfinite(ll):
+            raise EstimationError(
+                f"non-finite log-likelihood at iteration {it} ({ll})")
+        new = m_pass(stats, terms, theta)
+        delta = abs(new[0] - theta[0]) + abs(new[1] - theta[1])
+        theta = new
+        iterations = it + 1
+        if delta <= config.tolerance:
+            converged = True
+            break
+    e_pass(theta)
+    cls = AsicParams if model == "asic" else AsltParams
+    return cls.shared(*theta), iterations, converged
+
+
+def cutoff_terms_per_topic(model, g, data, periods, config, warm_start=True):
+    """The earlier per-topic cutoff loop: one scalar fit per cutoff.
+
+    Yields (tau, node, time, h, iterations) per cutoff, with node, time, h
+    and iterations ``None`` for a skipped cutoff.
+    """
+    from difflab import Cascade, EstimationError, h_asic, h_aslt
+    from difflab.params import DelayMode
+    prev = None
+    for tau in periods.cutoffs:
+        held = None
+        for m, c in enumerate(data):
+            for v, t in c.events:
+                if t >= tau:
+                    if held is None or (t, m, v) < held:
+                        held = (t, m, v)
+                    break
+        if held is None:
+            yield tau, None, None, None, None
+            continue
+        t_held, m_held, v_held = held
+        truncated = [c.truncated(tau) for c in data]
+        truncated = [c for c in truncated if len(c)]
+        if not truncated:
+            yield tau, None, None, None, None
+            continue
+        try:
+            params, iterations, _ = fit_shared_scalar(
+                model, g, truncated, config,
+                prev if warm_start else None, horizon_mode="finite")
+        except EstimationError:
+            yield tau, None, None, None, None
+            continue
+        prev = params
+        kept = [e for e in data[m_held].events if e[1] < tau]
+        held_cascade = Cascade(kept + [(v_held, t_held)], max(t_held, tau))
+        h_fn = h_asic if model == "asic" else h_aslt
+        h = h_fn(held_cascade, g, params, DelayMode.LINK, v_held)
+        yield tau, v_held, t_held, h, iterations

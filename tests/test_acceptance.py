@@ -21,7 +21,7 @@ from difflab import (AsicParams, AsltParams, Cascade, DelayMode, EmConfig,
                      generate_training_set, influence_direct_mc,
                      influence_percolation, loglik, mean_out_degree,
                      param_error, preferential_attachment, rank_by_score,
-                     ranking_similarity, select_model)
+                     ranking_similarity, select_topics)
 from difflab.rng import derive_rng
 
 from oracles import (loglik_asic_direct, loglik_aslt_direct,
@@ -133,6 +133,7 @@ def test_criterion_02_asic_parameter_recovery(recovery_graph):
                           f"{elapsed:.0f}s (limit 300s)")
 
 
+@pytest.mark.slow
 def test_criterion_03_aslt_parameter_recovery(recovery_graph):
     """Same protocol for the threshold model with (q, r) = (0.9, 1.0):
     mean E_q and E_r at K = 10000 within 0.07; within 5 minutes."""
@@ -175,13 +176,14 @@ def test_criterion_04_single_sequence_learning(recovery_graph):
                           f"{elapsed:.0f}s (limit 300s)")
 
 
+@pytest.mark.slow
 def test_criterion_05_model_selection(selection_graph):
     """100 single-cascade trials per true model: overall accuracy >= 80%,
     and >= 85% among cascades with at least 20 active nodes; within 15
     minutes."""
     started = time.monotonic()
     config = EmConfig(max_iterations=100)
-    rows = []
+    topics = {}
     for truth_model in ("asic", "aslt"):
         params = (AsicParams.shared(P_TRUE, R_TRUE) if truth_model == "asic"
                   else AsltParams.shared(Q_TRUE, R_TRUE))
@@ -189,9 +191,12 @@ def test_criterion_05_model_selection(selection_graph):
             data = generate_training_set(selection_graph, params, truth_model,
                                          LINK, 10, 10, (78, truth_model, trial),
                                          max_attempts=500_000)
-            rep = select_model(selection_graph, [data[0]], config)
-            rows.append((truth_model, len(data[0]),
-                         rep.chosen == truth_model))
+            topics[(truth_model, trial)] = [data[0]]
+    # Each trial is its own topic; the report equals select_model's on it.
+    reports = select_topics(selection_graph, topics, config)
+    rows = [(truth_model, len(data[0]),
+             reports[truth_model, trial].chosen == truth_model)
+            for (truth_model, trial), data in topics.items()]
     overall = sum(ok for _, _, ok in rows) / len(rows)
     long_rows = [ok for _, length, ok in rows if length >= 20]
     long_acc = sum(long_rows) / len(long_rows)
@@ -315,6 +320,7 @@ def test_criterion_07_stationarity_at_convergence():
                           f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_08_influence_cross_check():
     """Percolation and direct-simulation influence degrees agree within
     Monte Carlo error on 5 random 50-node graphs (10,000 samples each,
@@ -358,6 +364,7 @@ def test_criterion_08_influence_cross_check():
                           f"(gate 3.0); {elapsed:.0f}s (limit 180s)")
 
 
+@pytest.mark.slow
 def test_criterion_09_ranking_study(ranking_graph):
     """Rankings from the learned true model recover the true top-10 at
     least as well as every centrality baseline and as the wrong-model
@@ -395,6 +402,7 @@ def test_criterion_09_ranking_study(ranking_graph):
                           f"[{base_txt}]; {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_10_behavioral_contrast(recovery_graph):
     """With strengths calibrated so both models carry total weight |V|
     (p = 1/mean-out-degree, full threshold weight), the cascade model's

@@ -10,7 +10,7 @@ from difflab import (AsicParams, AsltParams, Cascade, DelayMode,
                      m_step_aslt, param_error, preferential_attachment,
                      save_params)
 from difflab.cascade import effective_parents, frontier
-from difflab.em import _Stats
+from difflab.em import _Links, _Stats, _aslt_e_per_link, _to_theta
 from difflab.params import PER_LINK, SHARED
 from difflab.rng import derive_rng
 
@@ -265,14 +265,24 @@ def assert_stats_match_loop(g, data, model):
     stats = _Stats(g, data, model)
     assert set(_Stats.__slots__) == set(want) | {"g"}
     assert stats.g is g
+    # Without the never-active block, every other field is the same.
+    lean = _Stats(g, data, model, never_active=False)
+    for name in ("i_link", "i_group"):
+        assert _matches(getattr(lean, name),
+                                  np.zeros(0, dtype=np.intp)), name
     for name, value in want.items():
         got = getattr(stats, name)
-        if isinstance(value, np.ndarray):
-            assert got.dtype == value.dtype, name
-            assert got.shape == value.shape, name
-            assert got.tobytes() == value.tobytes(), name
-        else:
-            assert type(got) is int and got == value, name
+        assert _matches(got, value), name
+        if name not in ("i_link", "i_group"):
+            assert _matches(getattr(lean, name), value), name
+
+
+def _matches(got, value):
+    """Same dtype, shape and bytes for arrays; same ``int`` otherwise."""
+    if isinstance(value, np.ndarray):
+        return (got.dtype == value.dtype and got.shape == value.shape
+                and got.tobytes() == value.tobytes())
+    return type(got) is int and got == value
 
 
 class TestStatsAgainstLoop:
@@ -325,6 +335,60 @@ class TestStatsAgainstLoop:
             _Stats(g, data, model)
         assert str(exc.value) == want
         assert_stats_match_loop(g, data, model)
+
+
+class TestAsltSlack:
+    """Per-link slack weights come from one helper in ``e_step_aslt`` and
+    in ``fit``'s E pass."""
+
+    @staticmethod
+    def _bits(values):
+        return np.asarray(list(values), dtype=np.float64).tobytes()
+
+    def _assert_resp_equals_terms(self, resp, stats, terms):
+        phi, psi, varphi_slack, varphi_inact, _ = terms
+        assert self._bits(resp.phi.values()) == phi.tobytes()
+        assert self._bits(resp.psi.values()) == psi.tobytes()
+        slack = [resp.varphi[(m, v, v)] for m, v in zip(
+            stats.f_group_m.tolist(), stats.f_group_node.tolist())]
+        assert self._bits(slack) == varphi_slack.tobytes()
+        inact = [resp.varphi[k] for k in stats.keys(
+            stats.f_group_m, stats.i_group, stats.i_link)]
+        assert self._bits(inact) == varphi_inact.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_e_step_equals_first_e_pass_of_fit(self, seed):
+        g, _, data = _instance(seed + 30, "aslt")
+        _, trace = fit("aslt", g, data,
+                       EmConfig(max_iterations=1, mode=PER_LINK))
+        theta0 = trace.params_history[0]
+        stats = _Stats(g, data, "aslt")
+        terms, ll, _ = _aslt_e_per_link(stats, _Links(stats), theta0)
+        assert ll[0] == trace.loglik[0]
+        params = AsltParams.per_link(dict(zip(g.edges, theta0[0].tolist())),
+                                     dict(zip(g.edges, theta0[1].tolist())))
+        self._assert_resp_equals_terms(e_step_aslt(g, data, params), stats,
+                                       terms)
+
+    def test_random_weights_some_summing_to_one(self):
+        g, _, data = _instance(33, "aslt")
+        rng = derive_rng(33, "slack")
+        raw = {e: rng.uniform(0.05, 1.0) for e in g.edges}
+        total = {}
+        for (u, v), w in raw.items():
+            total[v] = total.get(v, 0.0) + w
+        # Even nodes use up their whole budget, so their slack is about 0.
+        share = {v: 1.0 if v % 2 == 0 else rng.uniform(0.2, 0.9)
+                 for v in total}
+        params = AsltParams.per_link(
+            {(u, v): w / total[v] * share[v] for (u, v), w in raw.items()},
+            {e: rng.uniform(0.5, 2.0) for e in g.edges})
+        stats = _Stats(g, data, "aslt")
+        theta = _to_theta(g, "aslt", params, per_link=True)
+        terms, _, _ = _aslt_e_per_link(stats, _Links(stats), theta)
+        assert (terms[2] >= 0.0).all() and terms[2].min() < 1e-12
+        self._assert_resp_equals_terms(e_step_aslt(g, data, params), stats,
+                                       terms)
 
 
 class TestFitContract:
