@@ -19,7 +19,9 @@ batch of one): one statistics build over all their cascades, theta as one
 (strength, rate) pair per problem, and each problem's own convergence
 test, cap and errors.  Shared-mode totals are ``bincount`` sums, which run
 in input order within each problem, so a problem's result does not depend
-on its batch.  Per-link totals stay plain ``.sum()`` reductions.
+on its batch.  Per-link totals stay plain ``.sum()`` reductions.  No fit
+lists a frontier node's never-active parents: a sum over them is a
+whole-node sum minus the sum over its active parents.
 """
 
 from __future__ import annotations
@@ -153,25 +155,22 @@ class _Stats:
 
     Frontier block (threshold model): one group per frontier node, from
     cascade ``f_group_m`` at node ``f_group_node`` with ``f_group_nb``
-    parents of which ``f_group_k`` are active; one ``f_`` entry per active
-    parent (window ``f_dt``) and one ``i_`` entry per never-active parent.
+    parents of which ``f_group_k`` are active, and one ``f_`` entry per
+    active parent (window ``f_dt``); ``never_active`` lists the others.
 
-    The block a model does not use stays empty, and so does the ``i_``
-    block without ``never_active`` (only per-link passes and ``e_step_aslt``
-    read it).  Entries follow cascade, then node, then parent order, which
-    fixes the order of every sum.  ``problem`` (one index per cascade,
-    ascending) only numbers the cascade of a zero-probability error within
-    its problem.
+    The block a model does not use stays empty.  Entries follow cascade,
+    then node, then parent order, which fixes the order of every sum.
+    ``problem`` (one index per cascade, ascending) only numbers the cascade
+    of a zero-probability error within its problem.
     """
 
     __slots__ = ("g", "dt", "group", "link", "n_groups",
                  "group_m", "group_node", "group_nb",
                  "fail_edges", "fail_dt", "fail_m",
                  "f_dt", "f_group", "f_link", "n_f_groups",
-                 "f_group_nb", "f_group_k", "f_group_node", "f_group_m",
-                 "i_link", "i_group")
+                 "f_group_nb", "f_group_k", "f_group_node", "f_group_m")
 
-    def __init__(self, g, data, model, problem=None, never_active=True):
+    def __init__(self, g, data, model, problem=None):
         check_in_graph(g, data)
         n = g.node_count
         lens = np.array([len(c.events) for c in data], dtype=np.intp)
@@ -243,13 +242,6 @@ class _Stats:
         self.f_link = out_edge[order]
         self.n_f_groups = len(front)
         f_m, f_node = np.divmod(front, max(n, 1))
-        if never_active:
-            owner, edge = _segments(g.in_ptr, f_node)
-            edge = g.in_edges[edge]
-            inactive = ~time_of(f_m[owner] * n + g.tails[edge])[1]
-            self.i_link, self.i_group = edge[inactive], owner[inactive]
-        else:
-            self.i_link = self.i_group = np.zeros(0, dtype=np.intp)
         self.f_group_nb = g.in_degree[f_node].astype(np.float64)
         self.f_group_k = np.bincount(
             self.f_group, minlength=len(front)).astype(np.float64)
@@ -258,8 +250,7 @@ class _Stats:
 
     def subset(self, keep):
         """The statistics of the cascades where ``keep`` is true, entries
-        in the same order.  The never-active-parent block, which no
-        shared-mode pass reads, is left empty."""
+        in the same order."""
         out = object.__new__(type(self))
         out.g = self.g
         groups = keep[self.group_m]
@@ -280,8 +271,23 @@ class _Stats:
         for name in ("f_group_nb", "f_group_k", "f_group_node", "f_group_m"):
             setattr(out, name, getattr(self, name)[groups])
         out.n_f_groups = len(out.f_group_m)
-        out.i_link = out.i_group = np.zeros(0, dtype=np.intp)
         return out
+
+    def never_active(self, chosen=True):
+        """``(edge, frontier group)`` of each never-active parent of the
+        frontier groups ``chosen`` (a mask) selects, by group, then in-edge:
+        the in-edges that the frontier block does not list."""
+        g, chosen = self.g, np.broadcast_to(chosen, self.n_f_groups)
+        groups = np.flatnonzero(chosen)
+        owner, pos = _segments(g.in_ptr, self.f_group_node[groups])
+        in_pos = np.empty(g.edge_count, dtype=np.intp)
+        in_pos[g.in_edges] = np.arange(g.edge_count)
+        f = chosen[self.f_group]  # both lists run by group, then position
+        key = groups[owner] * g.edge_count + pos
+        listed = np.zeros(len(key), dtype=bool)
+        listed[np.searchsorted(key, self.f_group[f] * g.edge_count
+                               + in_pos[self.f_link[f]])] = True
+        return g.in_edges[pos[~listed]], groups[owner[~listed]]
 
     def keys(self, group_m, group, link):
         """(cascade, parent, child) of each entry of one block, given the
@@ -482,39 +488,30 @@ def _aslt_e_shared(stats, at, theta):
     return (phi, psi, varphi_slack, varphi_inact_total, gvals), ll, h_sum
 
 
-def _aslt_slack(g, q_vec):
-    """Residual self weight 1 - sum of incoming weights of every node,
-    floored at 0, from edge-indexed weights."""
-    slack = np.ones(g.node_count)
-    np.subtract.at(slack, g.heads, q_vec)
-    return np.maximum(slack, 0.0)
-
-
 def _aslt_e_per_link(stats, at, theta):
-    """Like ``_aslt_e_shared``, with ``varphi_inact`` per ``i_`` entry and
-    each node's slack weight from ``_aslt_slack``."""
+    """Like ``_aslt_e_shared``, per edge, without ``varphi_inact``.  A
+    frontier group's never-active weight is its node's in-weight minus its
+    active parents', floored at 0.  Both sums run in in-edge order, so it
+    is exactly 0 when every parent is active."""
     q_vec, r_vec = theta
-    slack_vec = _aslt_slack(stats.g, q_vec)
+    w_node = np.bincount(stats.g.heads, weights=q_vec,
+                         minlength=stats.g.node_count)[stats.f_group_node]
     q_arr = q_vec[stats.link]
     r_arr = r_vec[stats.link]
     term = q_arr * r_arr * np.exp(-r_arr * stats.dt)
     h_sum = np.bincount(stats.group, weights=term, minlength=stats.n_groups)
     phi = term / h_sum[stats.group]
-    rf = r_vec[stats.f_link]
-    tail = q_vec[stats.f_link] * np.exp(-rf * stats.f_dt)
-    gvals = slack_vec[stats.f_group_node]
-    gvals += np.bincount(stats.f_group, weights=tail,
-                         minlength=stats.n_f_groups)
-    if len(stats.i_link):
-        gvals += np.bincount(stats.i_group, weights=q_vec[stats.i_link],
-                             minlength=stats.n_f_groups)
-    psi = tail / gvals[stats.f_group] if len(tail) else tail
-    varphi_inact = (q_vec[stats.i_link] / gvals[stats.i_group]
-                    if len(stats.i_link) else np.zeros(0))
-    varphi_slack = (slack_vec[stats.f_group_node] / gvals
-                    if stats.n_f_groups else np.zeros(0))
+    q_f = q_vec[stats.f_link]
+    tail = q_f * np.exp(-r_vec[stats.f_link] * stats.f_dt)
+    slack = np.maximum(1.0 - w_node, 0.0)
+    inact = w_node - np.bincount(stats.f_group, weights=q_f,
+                                 minlength=stats.n_f_groups)
+    gvals = slack + np.bincount(stats.f_group, weights=tail,
+                                minlength=stats.n_f_groups)
+    gvals += np.maximum(inact, 0.0)
+    psi = tail / gvals[stats.f_group]
     ll = at.total("group", np.log(h_sum)) + at.total("f_group", np.log(gvals))
-    return (phi, psi, varphi_slack, varphi_inact, gvals), ll, h_sum
+    return (phi, psi, slack / gvals, None, gvals), ll, h_sum
 
 
 def _aslt_m_shared(stats, at, terms, theta):
@@ -537,29 +534,42 @@ def _clamp(strength, rate):
 
 
 def _aslt_m_per_link(stats, at, terms, theta):
-    phi, psi, varphi_slack, varphi_inact, _ = terms
+    """Per-edge update.  A never-active parent u of v holds q_uv / gvals
+    of each frontier group at v where u is not active: the sum over every
+    frontier group at v minus the groups where u is active.  Both sums run
+    in group order, so it is exactly 0 when u is active in all of them."""
+    phi, psi, varphi_slack, _, gvals = terms
     q_vec, r_vec = theta
-    n_edges = len(q_vec)
-    num_q = np.bincount(stats.link, weights=phi, minlength=n_edges)
-    num_q += np.bincount(stats.f_link, weights=psi, minlength=n_edges)
-    if len(stats.i_link):
-        num_q += np.bincount(stats.i_link, weights=varphi_inact,
-                             minlength=n_edges)
-    edge_target = stats.g.heads
-    slack_num = np.zeros(stats.g.node_count)
-    if stats.n_f_groups:
-        np.add.at(slack_num, stats.f_group_node, varphi_slack)
-    node_tot = slack_num.copy()
-    np.add.at(node_tot, edge_target, num_q)
-    has_mass = node_tot[edge_target] > 0
-    q_new = np.where(has_mass,
-                     num_q / np.where(has_mass, node_tot[edge_target], 1.0),
-                     q_vec)
+    n_edges, n, heads = len(q_vec), stats.g.node_count, stats.g.heads
+    inv = 1.0 / gvals
+    whole = np.bincount(stats.f_group_node, weights=inv, minlength=n)[heads]
+    inact = whole - np.bincount(stats.f_link, weights=inv[stats.f_group],
+                                minlength=n_edges)
+    # Where the groups with u active hold nearly all of the sum, the
+    # difference keeps few digits: add up those nodes' entries instead.
+    lossy = ((inact < 1e-2 * whole)
+             & (np.bincount(stats.f_group_node, minlength=n)[heads]
+                > np.bincount(stats.f_link, minlength=n_edges)))
+    if lossy.any():
+        i_link, i_group = stats.never_active(
+            np.isin(stats.f_group_node, heads[lossy]))
+        inact[lossy] = np.bincount(i_link, weights=inv[i_group],
+                                   minlength=n_edges)[lossy]
+    # An empty block's bincount is integer-typed: no in-place adds.
     num_r = np.bincount(stats.link, weights=phi, minlength=n_edges)
-    den_r = np.bincount(stats.link, weights=phi * stats.dt,
-                        minlength=n_edges)
-    den_r += np.bincount(stats.f_link, weights=psi * stats.f_dt,
+    num_q = (num_r + np.bincount(stats.f_link, weights=psi, minlength=n_edges)
+             + q_vec * inact)
+    node_tot = (np.bincount(heads, weights=num_q, minlength=n)
+                + np.bincount(stats.f_group_node, weights=varphi_slack,
+                              minlength=n))
+    has_mass = node_tot[heads] > 0
+    q_new = np.where(has_mass,
+                     num_q / np.where(has_mass, node_tot[heads], 1.0),
+                     q_vec)
+    den_r = (np.bincount(stats.link, weights=phi * stats.dt,
                          minlength=n_edges)
+             + np.bincount(stats.f_link, weights=psi * stats.f_dt,
+                           minlength=n_edges))
     has_r = num_r > 0
     r_new = np.where(has_r, num_r / np.where(has_r, den_r, 1.0), r_vec)
     np.clip(r_new, RATE_FLOOR, RATE_CEIL, out=r_new)
@@ -673,7 +683,7 @@ def _check_args(model, horizon_mode):
         raise ValueError(f"unknown horizon mode {horizon_mode!r}")
 
 
-def _stack(g, problems, model, never_active):
+def _stack(g, problems, model):
     """One statistics build over every problem's cascades, in problem
     order.  A problem whose data pins no fit gets an error in place of its
     cascades.  Returns ``(stats, problem index per cascade, errors)``."""
@@ -683,7 +693,7 @@ def _stack(g, problems, model, never_active):
         problem = np.repeat(np.arange(len(kept)), [len(d) for d in kept])
         try:
             stats = _Stats(g, list(chain.from_iterable(kept)), model,
-                           problem, never_active)
+                           problem)
         except _ZeroProbability as exc:
             errors[exc.problem] = exc
             continue
@@ -713,7 +723,7 @@ def _fit(model, g, problems, config, starts, finite):
     theta and gets an error instead of a result; the others go on.
     """
     per_link = config.mode == PER_LINK
-    stats, problem, errors = _stack(g, problems, model, never_active=per_link)
+    stats, problem, errors = _stack(g, problems, model)
     untouched = 0
     if per_link:
         at = _Links(stats)
@@ -721,11 +731,10 @@ def _fit(model, g, problems, config, starts, finite):
                   if model == "asic"
                   else AsltParams.shared(config.init_q, config.init_r))
         theta = _to_theta(g, model, shared, per_link=True)
-        touched = np.zeros(g.edge_count, dtype=bool)
-        for links in (stats.link, stats.fail_edges, stats.f_link,
-                      stats.i_link):
-            touched[links] = True
-        untouched = int(g.edge_count - touched.sum())
+        # A frontier node's in-edges are frontier or never-active entries.
+        touched = np.isin(g.heads, stats.f_group_node)
+        touched[stats.link] = touched[stats.fail_edges] = True
+        untouched = int(g.edge_count - np.count_nonzero(touched))
     else:
         at = _Problems(stats, problem, len(problems))
         theta = tuple(np.array(x, dtype=np.float64) for x in zip(
@@ -758,10 +767,11 @@ def _fit(model, g, problems, config, starts, finite):
                                           live | last).items():
                     errors[b] = exc
                     live[b] = False
-                for b in np.flatnonzero(live & ~np.isfinite(ll)).tolist():
-                    errors[b] = EstimationError(
+                for b in np.flatnonzero((live | last)
+                                        & ~np.isfinite(ll)).tolist():
+                    errors.setdefault(b, EstimationError(
                         f"non-finite log-likelihood at iteration {it} "
-                        f"({float(ll[b])})")
+                        f"({float(ll[b])})"))
                     live[b] = False
                 n_live = np.count_nonzero(live)
             if not n_live:
@@ -860,21 +870,19 @@ def e_step_aslt(g, data, params) -> Responsibilities:
     """Responsibilities of the threshold model at the given parameters."""
     stats = _Stats(g, data, "aslt")
     at = _single(stats, data, params)
-    theta = _to_theta(g, "aslt", params, params.mode == PER_LINK)
+    per_link = params.mode == PER_LINK
+    theta = _to_theta(g, "aslt", params, per_link)
+    e_pass = _aslt_e_per_link if per_link else _aslt_e_shared
     with np.errstate(divide="ignore", invalid="ignore"):
-        if params.mode == SHARED:
-            terms, ll, dens = _aslt_e_shared(stats, at, theta)
-            gvals = terms[4]
-            varphi_inact = ((params.q / stats.f_group_nb[stats.i_group])
-                            / gvals[stats.i_group])
-        else:
-            terms, ll, dens = _aslt_e_per_link(stats, at, theta)
-            varphi_inact = terms[3]
+        terms, ll, dens = e_pass(stats, at, theta)
     _check_density(stats, at, dens)
     _check_loglik(float(ll[0]))
-    phi, psi, varphi_slack = terms[:3]
-    varphi = dict(zip(stats.keys(stats.f_group_m, stats.i_group,
-                                 stats.i_link), varphi_inact.tolist()))
+    phi, psi, varphi_slack, _, gvals = terms
+    i_link, i_group = stats.never_active()
+    q_inact = (theta[0][i_link] if per_link
+               else params.q / stats.f_group_nb[i_group])
+    varphi = dict(zip(stats.keys(stats.f_group_m, i_group, i_link),
+                      (q_inact / gvals[i_group]).tolist()))
     for m, v, val in zip(stats.f_group_m.tolist(),
                          stats.f_group_node.tolist(), varphi_slack.tolist()):
         varphi[(m, v, v)] = val
@@ -885,12 +893,12 @@ def e_step_aslt(g, data, params) -> Responsibilities:
         varphi=varphi,
         psi=dict(zip(stats.keys(stats.f_group_m, stats.f_group,
                                 stats.f_link), psi.tolist())),
-        _ctx=(stats, terms, varphi_inact, params))
+        _ctx=(stats, terms, params))
 
 
 def m_step_aslt(g, data, resp: Responsibilities, mode: str = SHARED):
     """One closed-form update from threshold-model responsibilities."""
-    stats, terms, varphi_inact, params = resp._ctx
+    stats, terms, params = resp._ctx
     if mode == SHARED:
         if params.mode != SHARED:
             raise EstimationError(
@@ -899,8 +907,7 @@ def m_step_aslt(g, data, resp: Responsibilities, mode: str = SHARED):
         s, r = _aslt_m_shared(stats, at, terms,
                               _to_theta(g, "aslt", params, per_link=False))
         return _to_params(g, "aslt", (s[0], r[0]))
-    # Shared-mode terms hold per-group totals; the update needs per entry.
-    terms = terms[:3] + (varphi_inact, None)
+    # Shared-mode terms serve too: the update reads their gvals.
     theta = _to_theta(g, "aslt", params, per_link=True)
     return _to_params(g, "aslt", _aslt_m_per_link(stats, None, terms, theta))
 
@@ -929,14 +936,11 @@ def save_params(path, model: str, params, iterations: int = 0,
     """Write a fitted parameter set as a JSON document."""
     doc = {"model": model, "mode": params.mode,
            "iterations": int(iterations), "loglik": loglik_value}
-    strength_key = "p" if model == "asic" else "q"
-    strength = params.p if model == "asic" else params.q
-    if params.mode == SHARED:
-        doc[strength_key] = strength
-        doc["r"] = params.r
-    else:
-        doc[strength_key] = {_edge_key(e): val for e, val in strength.items()}
-        doc["r"] = {_edge_key(e): val for e, val in params.r.items()}
+    strength, r = params.p if model == "asic" else params.q, params.r
+    if params.mode != SHARED:
+        strength, r = ({_edge_key(e): val for e, val in x.items()}
+                       for x in (strength, r))
+    doc["p" if model == "asic" else "q"], doc["r"] = strength, r
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -947,16 +951,10 @@ def load_params(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     model = doc["model"]
-    mode = doc["mode"]
-    strength_key = "p" if model == "asic" else "q"
-    strength = doc[strength_key]
-    r = doc["r"]
-    if mode == SHARED:
-        params = (AsicParams.shared(strength, r) if model == "asic"
-                  else AsltParams.shared(strength, r))
-    else:
-        smap = {_parse_edge_key(k): val for k, val in strength.items()}
-        rmap = {_parse_edge_key(k): val for k, val in r.items()}
-        params = (AsicParams.per_link(smap, rmap) if model == "asic"
-                  else AsltParams.per_link(smap, rmap))
-    return model, params
+    cls = AsicParams if model == "asic" else AsltParams
+    strength, r = doc["p" if model == "asic" else "q"], doc["r"]
+    if doc["mode"] == SHARED:
+        return model, cls.shared(strength, r)
+    return model, cls.per_link(
+        {_parse_edge_key(k): val for k, val in strength.items()},
+        {_parse_edge_key(k): val for k, val in r.items()})

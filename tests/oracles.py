@@ -16,6 +16,10 @@ loop and its earlier closure-based simulator loops.  The faster versions
 must reproduce them bit for bit: same draws in the same order, same sums.
 The selection section keeps the earlier scalar shared-mode EM loop and the
 per-topic cutoff loop; lockstep selection must match them to rel 1e-9.
+The per-link threshold-model section keeps the earlier E and M passes that
+list every never-active parent, and a fitting loop over them; the
+closed-form passes must match them to rel 1e-12 per pass and rel 1e-9 over
+a fit.
 """
 
 import itertools
@@ -927,3 +931,109 @@ def cutoff_terms_per_topic(model, g, data, periods, config, warm_start=True):
         h_fn = h_asic if model == "asic" else h_aslt
         h = h_fn(held_cascade, g, params, DelayMode.LINK, v_held)
         yield tau, v_held, t_held, h, iterations
+
+
+# -- per-link threshold-model EM over the never-active block -----------------
+#
+# The package's earlier per-link aslt E and M passes.  They list every
+# never-active parent of each frontier node (the ``i_link``/``i_group``
+# arrays of ``em_stats_loop``) and add its weight and responsibility one
+# entry at a time; node totals are sequential ``np.add.at`` sums.  The
+# package takes those sums in closed form (whole-node sums minus the
+# frontier block's), so it matches these to rounding, not to the bit.  The
+# other statistics come from the package's builder, pinned above.
+
+
+def aslt_e_per_link_iblock(stats, i_link, i_group, theta):
+    """Returns ((phi, psi, varphi_slack, varphi_inact, gvals), loglik,
+    activation densities); ``varphi_inact`` is per never-active entry."""
+    q_vec, r_vec = theta
+    g = stats.g
+    slack_vec = np.ones(g.node_count)
+    np.subtract.at(slack_vec, g.heads, q_vec)
+    slack_vec = np.maximum(slack_vec, 0.0)
+    q_arr = q_vec[stats.link]
+    r_arr = r_vec[stats.link]
+    term = q_arr * r_arr * np.exp(-r_arr * stats.dt)
+    h_sum = np.bincount(stats.group, weights=term, minlength=stats.n_groups)
+    phi = term / h_sum[stats.group]
+    rf = r_vec[stats.f_link]
+    tail = q_vec[stats.f_link] * np.exp(-rf * stats.f_dt)
+    gvals = slack_vec[stats.f_group_node]
+    gvals += np.bincount(stats.f_group, weights=tail,
+                         minlength=stats.n_f_groups)
+    gvals += np.bincount(i_group, weights=q_vec[i_link],
+                         minlength=stats.n_f_groups)
+    psi = tail / gvals[stats.f_group]
+    varphi_inact = q_vec[i_link] / gvals[i_group]
+    varphi_slack = slack_vec[stats.f_group_node] / gvals
+    with np.errstate(divide="ignore"):
+        ll = float(np.log(h_sum).sum() + np.log(gvals).sum())
+    return (phi, psi, varphi_slack, varphi_inact, gvals), ll, h_sum
+
+
+def aslt_m_per_link_iblock(stats, i_link, terms, theta):
+    """The per-edge (q, r) update from the terms above."""
+    phi, psi, varphi_slack, varphi_inact, _ = terms
+    q_vec, r_vec = theta
+    g = stats.g
+    n_edges = len(q_vec)
+    num_q = np.bincount(stats.link, weights=phi, minlength=n_edges)
+    num_q += np.bincount(stats.f_link, weights=psi, minlength=n_edges)
+    num_q += np.bincount(i_link, weights=varphi_inact, minlength=n_edges)
+    slack_num = np.zeros(g.node_count)
+    np.add.at(slack_num, stats.f_group_node, varphi_slack)
+    node_tot = slack_num.copy()
+    np.add.at(node_tot, g.heads, num_q)
+    has_mass = node_tot[g.heads] > 0
+    q_new = np.where(has_mass,
+                     num_q / np.where(has_mass, node_tot[g.heads], 1.0),
+                     q_vec)
+    num_r = np.bincount(stats.link, weights=phi, minlength=n_edges)
+    den_r = np.bincount(stats.link, weights=phi * stats.dt,
+                        minlength=n_edges)
+    den_r += np.bincount(stats.f_link, weights=psi * stats.f_dt,
+                         minlength=n_edges)
+    has_r = num_r > 0
+    r_new = np.where(has_r, num_r / np.where(has_r, den_r, 1.0), r_vec)
+    np.clip(r_new, RATE_FLOOR, RATE_CEIL, out=r_new)
+    return q_new, r_new
+
+
+def fit_aslt_per_link_iblock(g, data, config):
+    """Per-link threshold-model EM over the never-active block.
+
+    Returns ``(theta, logliks, iterations, converged, untouched)``, where
+    ``theta`` is the final edge-indexed (q, r) pair, ``logliks`` one value
+    per evaluated theta, and ``untouched`` the number of edges that no
+    activation, frontier or never-active entry names.  Raises the
+    package's ``EstimationError`` on a non-finite log-likelihood.
+    """
+    from difflab import EstimationError
+    from difflab.em import _Stats
+    stats = _Stats(g, data, "aslt")
+    loop = em_stats_loop(g, data, "aslt")
+    i_link, i_group = loop["i_link"], loop["i_group"]
+    theta = (config.init_q / g.in_degree[g.heads],
+             np.full(g.edge_count, config.init_r))
+    logliks, converged = [], False
+    for it in range(config.max_iterations + 1):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms, ll, _ = aslt_e_per_link_iblock(stats, i_link, i_group,
+                                                  theta)
+        if not math.isfinite(ll):
+            raise EstimationError(
+                f"non-finite log-likelihood at iteration {it} ({ll})")
+        logliks.append(ll)
+        if converged or it == config.max_iterations:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = aslt_m_per_link_iblock(stats, i_link, terms, theta)
+        delta = float(np.abs(new[0] - theta[0]).sum()
+                      + np.abs(new[1] - theta[1]).sum())
+        theta = new
+        converged = delta <= config.tolerance
+    touched = set(stats.link.tolist()) | set(stats.f_link.tolist())
+    touched |= set(i_link.tolist())
+    return (theta, logliks, len(logliks) - 1, converged,
+            g.edge_count - len(touched))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import difflab
-from difflab import dumps_edge_list, erdos_renyi
+from difflab import DirectedGraph, dumps_edge_list, erdos_renyi
 from difflab.cli import main
 
 
@@ -137,6 +137,23 @@ class TestLearnSelect:
         rc = _run(["learn", "--graph", graph_file, "--cascades", bad,
                    "--model", "asic", "--out", tmp_path / "p.json"])
         assert rc == 4
+
+    def test_learn_non_finite_final_loglik_exits_4(self, tmp_path):
+        # One update takes p to 1, where the long gap's log-likelihood is
+        # nan; no parameter file is written.
+        graph = tmp_path / "g.txt"
+        graph.write_text(dumps_edge_list(DirectedGraph(2, [(0, 1)])))
+        lines = [{"id": str(i), "events": [[0, 0.0], [1, 1e-3]],
+                  "horizon": 1000.0} for i in range(2000)]
+        lines.append({"id": "long", "events": [[0, 0.0], [1, 740.0]],
+                      "horizon": 1000.0})
+        casc = tmp_path / "c.jsonl"
+        casc.write_text("".join(json.dumps(x) + "\n" for x in lines))
+        out = tmp_path / "p.json"
+        rc = _run(["learn", "--graph", graph, "--cascades", casc,
+                   "--model", "asic", "--max-iter", "1", "--out", out])
+        assert rc == 4
+        assert not out.exists()
 
     def test_unconverged_learn_keeps_stderr_empty(self, tmp_path,
                                                   graph_file):

@@ -1,21 +1,24 @@
 import logging
+import math
 
 import numpy as np
 import pytest
 
 from difflab import (AsicParams, AsltParams, Cascade, DelayMode,
                      DirectedGraph, EmConfig, EstimationError, ParameterError,
-                     e_step_asic, e_step_aslt, erdos_renyi, fit,
+                     e_step_asic, e_step_aslt, erdos_renyi, fit, fit_batch,
                      generate_training_set, load_params, loglik, m_step_asic,
                      m_step_aslt, param_error, preferential_attachment,
                      save_params)
 from difflab.cascade import effective_parents, frontier
-from difflab.em import _Links, _Stats, _aslt_e_per_link, _to_theta
+from difflab.em import (_Links, _Stats, _aslt_e_per_link, _aslt_e_shared,
+                        _aslt_m_per_link, _single, _to_theta)
 from difflab.params import PER_LINK, SHARED
 from difflab.rng import derive_rng
 
-from oracles import (ZeroProbabilityEvent, em_stats_loop,
-                     random_consistent_cascades)
+from oracles import (ZeroProbabilityEvent, aslt_e_per_link_iblock,
+                     aslt_m_per_link_iblock, em_stats_loop,
+                     fit_aslt_per_link_iblock, random_consistent_cascades)
 
 LINK = DelayMode.LINK
 
@@ -263,18 +266,13 @@ def assert_stats_match_loop(g, data, model):
         assert str(got.value) == str(exc)
         return
     stats = _Stats(g, data, model)
-    assert set(_Stats.__slots__) == set(want) | {"g"}
+    # The never-active block is listed on demand, not kept.
+    got = dict(zip(("i_link", "i_group"), stats.never_active()))
+    assert set(_Stats.__slots__) | set(got) == set(want) | {"g"}
     assert stats.g is g
-    # Without the never-active block, every other field is the same.
-    lean = _Stats(g, data, model, never_active=False)
-    for name in ("i_link", "i_group"):
-        assert _matches(getattr(lean, name),
-                                  np.zeros(0, dtype=np.intp)), name
     for name, value in want.items():
-        got = getattr(stats, name)
-        assert _matches(got, value), name
-        if name not in ("i_link", "i_group"):
-            assert _matches(getattr(lean, name), value), name
+        assert _matches(got[name] if name in got else getattr(stats, name),
+                        value), name
 
 
 def _matches(got, value):
@@ -345,16 +343,18 @@ class TestAsltSlack:
     def _bits(values):
         return np.asarray(list(values), dtype=np.float64).tobytes()
 
-    def _assert_resp_equals_terms(self, resp, stats, terms):
-        phi, psi, varphi_slack, varphi_inact, _ = terms
+    def _assert_resp_equals_terms(self, resp, stats, terms, q_vec):
+        phi, psi, varphi_slack, _, gvals = terms
         assert self._bits(resp.phi.values()) == phi.tobytes()
         assert self._bits(resp.psi.values()) == psi.tobytes()
         slack = [resp.varphi[(m, v, v)] for m, v in zip(
             stats.f_group_m.tolist(), stats.f_group_node.tolist())]
         assert self._bits(slack) == varphi_slack.tobytes()
+        i_link, i_group = stats.never_active()
         inact = [resp.varphi[k] for k in stats.keys(
-            stats.f_group_m, stats.i_group, stats.i_link)]
-        assert self._bits(inact) == varphi_inact.tobytes()
+            stats.f_group_m, i_group, i_link)]
+        assert self._bits(inact) == (q_vec[i_link]
+                                     / gvals[i_group]).tobytes()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_e_step_equals_first_e_pass_of_fit(self, seed):
@@ -368,7 +368,7 @@ class TestAsltSlack:
         params = AsltParams.per_link(dict(zip(g.edges, theta0[0].tolist())),
                                      dict(zip(g.edges, theta0[1].tolist())))
         self._assert_resp_equals_terms(e_step_aslt(g, data, params), stats,
-                                       terms)
+                                       terms, theta0[0])
 
     def test_random_weights_some_summing_to_one(self):
         g, _, data = _instance(33, "aslt")
@@ -388,7 +388,148 @@ class TestAsltSlack:
         terms, _, _ = _aslt_e_per_link(stats, _Links(stats), theta)
         assert (terms[2] >= 0.0).all() and terms[2].min() < 1e-12
         self._assert_resp_equals_terms(e_step_aslt(g, data, params), stats,
-                                       terms)
+                                       terms, theta[0])
+
+
+class TestPerLinkAsltOracle:
+    """Per-link threshold-model passes without the never-active block
+    against the earlier passes that list it."""
+
+    @staticmethod
+    def _pa_instance(seed, model):
+        g = preferential_attachment(300, 3, seed)
+        params = (AsicParams.shared(0.2, 1.0) if model == "asic"
+                  else AsltParams.shared(0.9, 1.0))
+        return g, generate_training_set(g, params, model, LINK, 600, 5,
+                                        (seed, "pa"), max_attempts=50_000)
+
+    def test_fit_matches_oracle_loop(self):
+        g, data = self._pa_instance(7, "aslt")
+        config = EmConfig(mode=PER_LINK)
+        fitted, trace = fit("aslt", g, data, config)
+        (q, r), logliks, iterations, converged, untouched = (
+            fit_aslt_per_link_iblock(g, data, config))
+        assert trace.iterations == iterations == 100
+        assert trace.converged == converged
+        assert trace.untouched_links == untouched
+        np.testing.assert_allclose(trace.loglik, logliks, rtol=1e-9)
+        np.testing.assert_allclose([fitted.q[e] for e in g.edges],
+                                   np.maximum(q, 1e-12), rtol=1e-9)
+        np.testing.assert_allclose([fitted.r[e] for e in g.edges], r,
+                                   rtol=1e-9)
+
+    @pytest.mark.parametrize("model", ["asic", "aslt"])
+    def test_untouched_links_match_never_active_union(self, model):
+        instances = [_instance(seed, model)[::2] for seed in range(3)]
+        instances += [self._pa_instance(seed, model) for seed in range(2)]
+        for g, data in instances:
+            loop = em_stats_loop(g, data, model)
+            touched = set()
+            for name in ("link", "fail_edges", "f_link", "i_link"):
+                touched |= set(loop[name].tolist())
+            _, trace = fit(model, g, data,
+                           EmConfig(max_iterations=1, mode=PER_LINK))
+            assert trace.untouched_links == g.edge_count - len(touched)
+
+    @pytest.mark.parametrize("rate", [1.0, 30.0, 60.0, 100.0])
+    def test_m_pass_where_one_group_holds_nearly_all_mass(self, rate):
+        # Node 2's parents carry its whole budget.  In cascade 0 both are
+        # active and long overdue, so that group's survival mass is tiny;
+        # in cascade 1 only node 0 is active.  Edge (1, 2)'s never-active
+        # sum is then a small difference of two huge sums.
+        g = DirectedGraph(4, [(0, 2), (1, 2), (3, 0), (3, 1)])
+        data = [Cascade([(3, 0.0), (0, 0.1), (1, 0.2)], 1.0),
+                Cascade([(3, 0.0), (0, 0.1)], 1.0)]
+        into_2 = g.heads == 2
+        theta = (np.full(g.edge_count, 0.5),
+                 np.where(into_2, rate, 1.0))
+        stats = _Stats(g, data, "aslt")
+        loop = em_stats_loop(g, data, "aslt")
+        want = aslt_e_per_link_iblock(stats, loop["i_link"],
+                                      loop["i_group"], theta)[0]
+        got = _aslt_e_per_link(stats, _Links(stats), theta)[0]
+        for new, old in zip(
+                _aslt_m_per_link(stats, None, got, theta),
+                aslt_m_per_link_iblock(stats, loop["i_link"], want, theta)):
+            np.testing.assert_allclose(new, old, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_m_step_per_link_matches_oracle_update(self, seed):
+        g, _, data = _instance(seed + 40, "aslt")
+        stats = _Stats(g, data, "aslt")
+        loop = em_stats_loop(g, data, "aslt")
+        i_link, i_group = loop["i_link"], loop["i_group"]
+        rng = derive_rng(seed, "m-step")
+        per_link = AsltParams.per_link(
+            {(u, v): rng.uniform(0.1, 0.9) / len(g.in_adj[v])
+             for u, v in g.edges},
+            {e: rng.uniform(0.5, 2.0) for e in g.edges})
+        shared = AsltParams.shared(0.7, 1.3)
+        for params in (per_link, shared):
+            theta = _to_theta(g, "aslt", params, per_link=True)
+            if params is per_link:
+                want = aslt_e_per_link_iblock(stats, i_link, i_group,
+                                              theta)[0]
+            else:
+                # Shared responsibilities, with per-entry never-active
+                # terms, as the earlier per-link update took them.
+                at = _single(stats, data, None)
+                phi, psi, slack, _, gvals = _aslt_e_shared(
+                    stats, at, _to_theta(g, "aslt", params, False))[0]
+                want = (phi, psi, slack, (params.q / stats.f_group_nb[
+                    i_group]) / gvals[i_group], gvals)
+            q, r = aslt_m_per_link_iblock(stats, i_link, want, theta)
+            got = m_step_aslt(g, data, e_step_aslt(g, data, params),
+                              mode=PER_LINK)
+            np.testing.assert_allclose([got.q[e] for e in g.edges],
+                                       np.maximum(q, 1e-12), rtol=1e-12)
+            np.testing.assert_allclose([got.r[e] for e in g.edges], r,
+                                       rtol=1e-12)
+
+    def test_m_step_per_link_without_activations(self):
+        # Only seeds: the activation block is empty, and node 1 is a
+        # frontier node of cascade 0.
+        g = DirectedGraph(3, [(0, 1), (1, 0), (2, 1)])
+        data = [Cascade([(0, 0.0)], 1.0)]
+        start = AsltParams.per_link({(0, 1): 0.5, (1, 0): 0.5, (2, 1): 0.25},
+                                    {(0, 1): 1.0, (1, 0): 2.0, (2, 1): 3.0})
+        got = m_step_aslt(g, data, e_step_aslt(g, data, start),
+                          mode=PER_LINK)
+        assert got.r == start.r
+        assert got.q[(1, 0)] == 0.5
+        # Node 1's one frontier group: slack 0.25, (0, 1) still pending
+        # and (2, 1) never active.
+        mass = 0.25 + 0.5 * math.exp(-1.0) + 0.25
+        assert got.q[(0, 1)] == pytest.approx(0.5 * math.exp(-1.0) / mass,
+                                              rel=1e-12)
+        assert got.q[(2, 1)] == pytest.approx(0.25 / mass, rel=1e-12)
+
+class TestFinalPassLoglik:
+    """A non-finite log-likelihood in the last E pass is an error."""
+
+    GRAPH = DirectedGraph(2, [(0, 1)])
+    # One update takes p to 1, where the long gap's density underflows to
+    # 0/0 and the log-likelihood to nan.
+    BAD = ([Cascade([(0, 0.0), (1, 1e-3)], 1000.0)] * 2000
+           + [Cascade([(0, 0.0), (1, 740.0)], 1000.0)])
+    WANT = "non-finite log-likelihood at iteration 1 (nan)"
+
+    def test_fit_raises(self):
+        with pytest.raises(EstimationError) as exc:
+            fit("asic", self.GRAPH, self.BAD, EmConfig(max_iterations=1))
+        assert str(exc.value) == self.WANT
+
+    def test_fit_batch_fails_that_problem_only(self):
+        good = [Cascade([(0, 0.0), (1, 0.5)], 10.0),
+                Cascade([(0, 0.0), (1, 2.0)], 10.0)]
+        config = EmConfig(max_iterations=1)
+        results = fit_batch("asic", self.GRAPH, [good, self.BAD, good],
+                            config)
+        assert isinstance(results[1], EstimationError)
+        assert str(results[1]) == self.WANT
+        solo = fit("asic", self.GRAPH, good, config)
+        for result in (results[0], results[2]):
+            assert repr(result) == repr(solo)
 
 
 class TestFitContract:

@@ -1,16 +1,22 @@
-"""Property tests: the EM statistics builder against the reference loop
-on digraphs of at most 9 nodes."""
+"""Property tests on digraphs of at most 9 nodes: the EM statistics builder
+against the reference loop, and the per-link threshold-model E and M passes
+against the passes that list every never-active parent."""
 
 import random
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from difflab import Cascade, DirectedGraph  # noqa: E402
+from difflab.em import (_Links, _Stats, _aslt_e_per_link,  # noqa: E402
+                        _aslt_m_per_link)
 
-from oracles import random_consistent_cascades  # noqa: E402
+from oracles import (aslt_e_per_link_iblock,  # noqa: E402
+                     aslt_m_per_link_iblock, em_stats_loop,
+                     random_consistent_cascades)
 from test_em import assert_stats_match_loop  # noqa: E402
 
 
@@ -44,3 +50,77 @@ def graphs_and_cascades(draw):
 def test_stats_match_loop(case):
     for model in ("asic", "aslt"):
         assert_stats_match_loop(*case, model)
+
+
+@st.composite
+def per_link_aslt_cases(draw):
+    """Consistent cascades (cut to leave frontier nodes) and edge-indexed
+    (q, r) with the corner cases of the never-active sums."""
+    n = draw(st.integers(2, 9))
+    links = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+        lambda e: (e[0], (e[0] + e[1]) % n))
+    g = DirectedGraph(n, draw(st.sets(links, min_size=n,
+                                      max_size=n * (n - 1))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    raw, _, _ = random_consistent_cascades(g, rng, draw(st.integers(1, 4)))
+    fractions = st.sampled_from([0.3, 0.6, 1.0])
+    # A stretched horizon leaves every pending arrival long overdue.
+    stretch = draw(st.sampled_from([1.0, 1e3]))
+    data = [Cascade(ev, hz).truncated(hz * draw(fractions))
+            for ev, hz in raw]
+    data = [Cascade(c.events, c.horizon * stretch) for c in data]
+    q = np.zeros(g.edge_count)
+    for v in range(n):
+        edges = g.in_edges[g.in_ptr[v]:g.in_ptr[v + 1]]
+        kind = draw(st.sampled_from(["budget", "zeros", "random"]))
+        if kind == "budget":
+            # Multiples of 1/16 summing to exactly 1, some of them 0.
+            parts = [rng.randrange(3) / 16 for _ in edges[1:]]
+            weights = parts + [1.0 - sum(parts)]
+        else:
+            # The slack stays >= 0.1: with both slack and pending weight
+            # near 0 a group's survival mass is an ulp-scale difference.
+            weights = [rng.uniform(0.0, 0.9 / len(edges)) for _ in edges]
+            if kind == "zeros":
+                weights = [w if rng.random() < 0.5 else 0.0
+                           for w in weights]
+        q[edges] = weights
+    # Delays far longer than any window, ordinary ones and very short ones.
+    r = np.array([rng.choice([1e-6, rng.uniform(0.2, 3.0), 50.0])
+                  for _ in g.edges])
+    return g, data, (q, r)
+
+
+def _assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(per_link_aslt_cases())
+def test_per_link_aslt_passes_match_never_active_block(case):
+    g, data, theta = case
+    stats = _Stats(g, data, "aslt")
+    loop = em_stats_loop(g, data, "aslt")
+    i_link, i_group = loop["i_link"], loop["i_group"]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want, want_ll, want_dens = aslt_e_per_link_iblock(
+            stats, i_link, i_group, theta)
+        got, got_ll, got_dens = _aslt_e_per_link(stats, _Links(stats), theta)
+        # e_step_aslt's never-active responsibilities
+        _assert_close(theta[0][i_link] / got[4][i_group], want[3])
+    for i in (0, 1, 2, 4):
+        _assert_close(got[i], want[i])
+    _assert_close(got_dens, want_dens)
+    # A sum of logs of terms that match at rel 1e-12 matches to 1e-12 per
+    # term; near 0 (survival masses of about 1) that is not a relative bound.
+    np.testing.assert_allclose(got_ll[0], want_ll, rtol=1e-12,
+                               atol=1e-12 * (len(got_dens) + len(got[4])))
+    if not np.isfinite(want_ll) or not stats.n_groups:
+        # A fit stops before the M pass; the earlier M pass also fails on
+        # the integer-typed sums of an empty activation block.
+        return
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want_theta = aslt_m_per_link_iblock(stats, i_link, want, theta)
+        got_theta = _aslt_m_per_link(stats, None, got, theta)
+    _assert_close(got_theta[0], want_theta[0])
+    _assert_close(got_theta[1], want_theta[1])
