@@ -3,14 +3,15 @@
 These are the standard baselines influence rankings are compared against:
 out-degree, closeness (reciprocal mean distance), betweenness (number of
 shortest paths passing through a node), and the random-surfer stationary
-distribution.  All operate on unit edge lengths.
+distribution.  All operate on unit edge lengths.  Closeness, betweenness
+and the random surfer run on scipy sparse matrices, and import scipy on
+their first call; out-degree and the ranking helpers never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-from scipy import sparse
 
 from .errors import GraphValidationError, ParameterError
 
@@ -40,6 +41,7 @@ def rank_by_score(scores) -> RankedList:
 
 def _adjacency(g):
     """Unit-weight CSR adjacency over the graph's out-CSR index."""
+    from scipy import sparse
     n = g.node_count
     return sparse.csr_matrix((np.ones(g.edge_count), g.heads, g.out_ptr),
                              shape=(n, n))
@@ -68,6 +70,7 @@ def _source_blocks(adj):
 
 def _csr(b, n, r, c, data):
     """A ``(b, n)`` sparse matrix from entries listed in row order."""
+    from scipy import sparse
     indptr = np.zeros(b + 1, dtype=np.intp)
     np.cumsum(np.bincount(r, minlength=b), out=indptr[1:])
     return sparse.csr_matrix((data, c, indptr), shape=(b, n))
@@ -181,6 +184,7 @@ def pagerank_scores(g, eps: float = 0.15, tol: float = 1e-10,
     """
     if not 0.0 < eps < 1.0:
         raise ParameterError("pagerank jump probability must lie in (0, 1)")
+    from scipy import sparse
     n = g.node_count
     adj = _adjacency(g)
     out_deg = np.asarray(adj.sum(axis=1)).ravel()

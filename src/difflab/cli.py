@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 from . import __version__
 from .cascade import CascadeSet, read_cascades, write_cascades
@@ -72,14 +73,33 @@ def _write_manifest(out_path, command, config, seed, inputs, started):
         fh.write("\n")
 
 
+@contextmanager
+def _reading(path):
+    """Report an input file that cannot be opened or decoded as UTF-8 as
+    an input error naming the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise DiffLabError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DiffLabError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                           f"{exc.start}") from None
+
+
 def _load_graph(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with _reading(path), open(path, "r", encoding="utf-8") as fh:
         return load_edge_list(fh.read())
+
+
+def _read_cascades(path):
+    with _reading(path):
+        return read_cascades(path)
 
 
 def _params_from_args(parser, args, model):
     if args.params:
-        file_model, params = load_params(args.params)
+        with _reading(args.params):
+            file_model, params = load_params(args.params)
         if file_model != model:
             parser.error(f"parameter file is for model {file_model!r}, "
                          f"but --model is {model!r}")
@@ -118,7 +138,7 @@ def _cmd_simulate(parser, args):
 def _cmd_learn(parser, args):
     started = time.monotonic()
     g = _load_graph(args.graph)
-    data = read_cascades(args.cascades)
+    data = _read_cascades(args.cascades)
     mode = SHARED if args.mode == "shared" else PER_LINK
     config = EmConfig(init_p=args.init_p, init_q=args.init_q,
                       init_r=args.init_r, tolerance=args.tol,
@@ -153,9 +173,10 @@ def _cmd_learn(parser, args):
 def _cmd_select(parser, args):
     started = time.monotonic()
     g = _load_graph(args.graph)
-    data = read_cascades(args.cascades)
+    data = _read_cascades(args.cascades)
     if args.topic_labels:
-        with open(args.topic_labels, "r", encoding="utf-8") as fh:
+        with (_reading(args.topic_labels),
+              open(args.topic_labels, "r", encoding="utf-8") as fh):
             label_map = json.load(fh)
         topics = [label_map.get(cid, "default") for cid in data.ids]
         data = CascadeSet(data.cascades, data.ids, topics)
@@ -234,14 +255,20 @@ def _cmd_rank(parser, args):
 
 def _read_ranked_csv(path):
     order = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _reading(path), open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("rank,"):
             raise DiffLabError(f"{path}: expected a 'rank,node,score' CSV")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 order.append(int(line.split(",")[1]))
+            except (IndexError, ValueError):
+                raise DiffLabError(
+                    f"{path}: line {lineno}: expected 'rank,node,score' with "
+                    f"an integer node, got {line!r}") from None
     return order
 
 

@@ -350,15 +350,26 @@ class _Problems:
 
 class _Links:
     """Per-link mode: one problem whose theta is edge-indexed; totals are
-    plain sums."""
+    plain sums.  The M passes read two per-edge counts of the statistics:
+    ``trials``, the edge's activation and failure entries, and
+    ``has_inact``, whether the edge's parent is never active in some
+    frontier group at its child (fewer frontier entries on the edge than
+    frontier groups at the child)."""
 
     n = 1
     first = np.zeros(1, dtype=np.intp)
 
     def __init__(self, stats):
+        g = stats.g
         self.link = stats.link
         self.fail = stats.fail_edges
         self.group = np.zeros(stats.n_groups, dtype=np.intp)
+        self.trials = (np.bincount(stats.link, minlength=g.edge_count)
+                       + np.bincount(stats.fail_edges, minlength=g.edge_count)
+                       ).astype(np.float64)
+        self.has_inact = (
+            np.bincount(stats.f_group_node, minlength=g.node_count)[g.heads]
+            > np.bincount(stats.f_link, minlength=g.edge_count))
 
     @staticmethod
     def total(block, values):
@@ -451,12 +462,10 @@ def _asic_m_per_link(stats, at, terms, theta):
                              minlength=n_edges)
         num_p += np.bincount(stats.fail_edges, weights=beta_fail,
                              minlength=n_edges)
-    cnt = np.bincount(stats.link, minlength=n_edges).astype(float)
-    cnt += np.bincount(stats.fail_edges, minlength=n_edges)
     has_r = num_r > 0
-    has_p = cnt > 0
+    has_p = at.trials > 0
     r_new = np.where(has_r, num_r / np.where(has_r, den_r, 1.0), r_vec)
-    p_new = np.where(has_p, num_p / np.where(has_p, cnt, 1.0), p_vec)
+    p_new = np.where(has_p, num_p / np.where(has_p, at.trials, 1.0), p_vec)
     np.clip(p_new, PROB_FLOOR, 1.0, out=p_new)
     np.clip(r_new, RATE_FLOOR, RATE_CEIL, out=r_new)
     return p_new, r_new
@@ -547,9 +556,7 @@ def _aslt_m_per_link(stats, at, terms, theta):
                                 minlength=n_edges)
     # Where the groups with u active hold nearly all of the sum, the
     # difference keeps few digits: add up those nodes' entries instead.
-    lossy = ((inact < 1e-2 * whole)
-             & (np.bincount(stats.f_group_node, minlength=n)[heads]
-                > np.bincount(stats.f_link, minlength=n_edges)))
+    lossy = (inact < 1e-2 * whole) & at.has_inact
     if lossy.any():
         i_link, i_group = stats.never_active(
             np.isin(stats.f_group_node, heads[lossy]))
@@ -863,7 +870,8 @@ def m_step_asic(g, data, resp: Responsibilities, mode: str = SHARED):
         s, r = _asic_m_shared(stats, at, terms, None)
         return _to_params(g, "asic", (s[0], r[0]))
     theta = _to_theta(g, "asic", params, per_link=True)
-    return _to_params(g, "asic", _asic_m_per_link(stats, None, terms, theta))
+    return _to_params(g, "asic",
+                      _asic_m_per_link(stats, _Links(stats), terms, theta))
 
 
 def e_step_aslt(g, data, params) -> Responsibilities:
@@ -909,7 +917,8 @@ def m_step_aslt(g, data, resp: Responsibilities, mode: str = SHARED):
         return _to_params(g, "aslt", (s[0], r[0]))
     # Shared-mode terms serve too: the update reads their gvals.
     theta = _to_theta(g, "aslt", params, per_link=True)
-    return _to_params(g, "aslt", _aslt_m_per_link(stats, None, terms, theta))
+    return _to_params(g, "aslt",
+                      _aslt_m_per_link(stats, _Links(stats), terms, theta))
 
 
 def param_error(estimate: float, truth: float) -> float:

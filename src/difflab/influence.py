@@ -11,7 +11,8 @@ stacked into one block-diagonal live graph solved with array operations.
 Results do not depend on the block size, nor on ``threads``.  The direct
 estimator simply runs the full continuous-time
 simulation many times per seed; it is the slow oracle the percolation
-shortcut is validated against.
+shortcut is validated against.  Only the percolation solver uses scipy, and
+it imports scipy on its first call, so the direct estimator never loads it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ParameterError
 from .params import DelayMode
@@ -80,6 +79,9 @@ def _block_reachable_sizes(n, worlds, world, live_u, live_v):
     covers all of them (components share their reachable set).  Returns a
     ``(worlds, n)`` integer array of sizes.
     """
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
     size = worlds * n
     gu = world * n + live_u
     gv = world * n + live_v

@@ -29,6 +29,16 @@ def _run(args):
     return main([str(a) for a in args])
 
 
+def _fresh_python(*args):
+    """Run ``python *args`` in a new interpreter that imports this
+    checkout's difflab."""
+    src = str(Path(difflab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *map(str, args)],
+                          capture_output=True, env=env, timeout=120)
+
+
 class TestSimulate:
     def test_writes_cascades_and_manifest(self, tmp_path, graph_file):
         out = tmp_path / "casc.jsonl"
@@ -160,15 +170,10 @@ class TestLearnSelect:
         # The fit stops at its cap and logs a warning, which the package's
         # NullHandler keeps off stderr unless logging is configured.
         casc = self._make_cascades(tmp_path, graph_file)
-        src = str(Path(difflab.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "difflab.cli", "learn", "--graph",
-             str(graph_file), "--cascades", str(casc), "--model", "asic",
-             "--tol", "1e-12", "--max-iter", "2",
-             "--out", str(tmp_path / "p.json")],
-            capture_output=True, env=env, timeout=120)
+        proc = _fresh_python(
+            "-m", "difflab.cli", "learn", "--graph", graph_file,
+            "--cascades", casc, "--model", "asic", "--tol", "1e-12",
+            "--max-iter", "2", "--out", tmp_path / "p.json")
         assert proc.returncode == 0
         trace = json.loads((tmp_path / "p.json.trace.json").read_text())
         assert not trace["converged"]
@@ -300,6 +305,100 @@ class TestInfluenceRank:
             _run(["rank", "--graph", graph_file, "--method", "eigen",
                   "--out", tmp_path / "x.csv"])
         assert exc.value.code == 2
+
+
+class TestInputErrors:
+    """Unreadable or malformed inputs exit 1 with one ``error:`` line that
+    names the file, not a traceback."""
+
+    def _assert_error(self, capsys, rc, *parts):
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        for part in parts:
+            assert part in err
+
+    @pytest.mark.parametrize("row", ["2", "2,x,0.1"])
+    def test_compare_rank_bad_row(self, tmp_path, capsys, graph_file, row):
+        truth = tmp_path / "truth.csv"
+        assert _run(["rank", "--graph", graph_file, "--method", "outdegree",
+                     "--out", truth]) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"rank,node,score\n1,0,1.0\n{row}\n")
+        capsys.readouterr()
+        rc = _run(["compare-rank", "--truth", truth, "--candidate", bad,
+                   "--k", "2", "--out", tmp_path / "sim.csv"])
+        self._assert_error(capsys, rc, f"{bad}: line 3:", repr(row))
+
+    def test_missing_graph_file(self, tmp_path, capsys):
+        missing = tmp_path / "nosuch.txt"
+        rc = _run(["simulate", "--graph", missing, "--model", "asic",
+                   "--p", "0.3", "--r", "1.0", "--target-active", "5",
+                   "--seed", "5", "--out", tmp_path / "x.jsonl"])
+        self._assert_error(capsys, rc, f"{missing}: No such file")
+
+    def test_graph_not_utf8(self, tmp_path, capsys):
+        graph = tmp_path / "binary.txt"
+        graph.write_bytes(b"\xff0 1\n1 2\n")
+        rc = _run(["rank", "--graph", graph, "--method", "outdegree",
+                   "--out", tmp_path / "r.csv"])
+        self._assert_error(capsys, rc, f"{graph}: not UTF-8 text",
+                           "at byte 0")
+
+
+class TestScipyLoadedOnlyBySparseSolvers:
+    """Only percolation and the sparse centralities import scipy."""
+
+    _SCRIPT = """
+import json, sys
+import difflab
+from difflab.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+    def _loaded(self, *commands):
+        argvs = [[str(a) for a in argv] for argv in commands]
+        proc = _fresh_python("-c", self._SCRIPT, json.dumps(argvs))
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc.stdout.decode().splitlines()[-1]
+
+    def _influence(self, graph_file, method, out):
+        return ["--graph", graph_file, "--model", "asic", "--p", "0.2",
+                "--r", "1.0", "--seed", "4", "--method", method,
+                "--samples", "20", "--threads", "1", "--out", out]
+
+    def test_scipy_free_commands(self, tmp_path, graph_file):
+        casc, ranked = tmp_path / "c.jsonl", tmp_path / "deg.csv"
+        commands = [
+            ["simulate", "--graph", graph_file, "--model", "asic",
+             "--p", "0.3", "--r", "1.0", "--target-active", "120",
+             "--min-len", "3", "--seed", "5", "--out", casc],
+            *(["learn", "--graph", graph_file, "--cascades", casc,
+               "--model", model, "--mode", mode, "--max-iter", "5",
+               "--out", tmp_path / f"{model}-{mode}.json"]
+              for model in ("asic", "aslt") for mode in ("shared", "per-link")),
+            ["select", "--graph", graph_file, "--cascades", casc,
+             "--max-iter", "5", "--out", tmp_path / "s.json"],
+            ["influence", *self._influence(graph_file, "mc",
+                                           tmp_path / "mc.csv")],
+            ["rank", "--graph", graph_file, "--method", "outdegree",
+             "--out", ranked],
+            ["compare-rank", "--truth", ranked, "--candidate", ranked,
+             "--k", "5", "--out", tmp_path / "sim.csv"],
+        ]
+        assert self._loaded(*commands) == "[]"
+
+    def test_sparse_solvers_load_scipy(self, tmp_path, graph_file):
+        commands = [
+            ["influence", *self._influence(graph_file, "percolation",
+                                           tmp_path / "p.csv")],
+            ["rank", "--graph", graph_file, "--method", "betweenness",
+             "--out", tmp_path / "b.csv"],
+        ]
+        assert "'scipy.sparse'" in self._loaded(*commands)
 
 
 class TestThreadsDefault:

@@ -449,7 +449,7 @@ class TestPerLinkAsltOracle:
                                       loop["i_group"], theta)[0]
         got = _aslt_e_per_link(stats, _Links(stats), theta)[0]
         for new, old in zip(
-                _aslt_m_per_link(stats, None, got, theta),
+                _aslt_m_per_link(stats, _Links(stats), got, theta),
                 aslt_m_per_link_iblock(stats, loop["i_link"], want, theta)):
             np.testing.assert_allclose(new, old, rtol=1e-12, atol=0)
 

@@ -121,6 +121,6 @@ def test_per_link_aslt_passes_match_never_active_block(case):
         return
     with np.errstate(divide="ignore", invalid="ignore"):
         want_theta = aslt_m_per_link_iblock(stats, i_link, want, theta)
-        got_theta = _aslt_m_per_link(stats, None, got, theta)
+        got_theta = _aslt_m_per_link(stats, _Links(stats), got, theta)
     _assert_close(got_theta[0], want_theta[0])
     _assert_close(got_theta[1], want_theta[1])
