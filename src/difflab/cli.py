@@ -75,8 +75,8 @@ def _write_manifest(out_path, command, config, seed, inputs, started):
 
 @contextmanager
 def _reading(path):
-    """Report an input file that cannot be opened or decoded as UTF-8 as
-    an input error naming the file."""
+    """Report an input file that cannot be opened, decoded as UTF-8 or
+    parsed as JSON as an input error naming the file."""
     try:
         yield
     except OSError as exc:
@@ -84,6 +84,9 @@ def _reading(path):
     except UnicodeDecodeError as exc:
         raise DiffLabError(f"{path}: not UTF-8 text: {exc.reason} at byte "
                            f"{exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise DiffLabError(f"{path}: not valid JSON: {exc.msg} at line "
+                           f"{exc.lineno} column {exc.colno}") from None
 
 
 def _load_graph(path):
@@ -178,6 +181,9 @@ def _cmd_select(parser, args):
         with (_reading(args.topic_labels),
               open(args.topic_labels, "r", encoding="utf-8") as fh):
             label_map = json.load(fh)
+        if not isinstance(label_map, dict):
+            raise DiffLabError(f"{args.topic_labels}: expected a JSON object "
+                               "mapping cascade id to topic")
         topics = [label_map.get(cid, "default") for cid in data.ids]
         data = CascadeSet(data.cascades, data.ids, topics)
     config = EmConfig(tolerance=args.tol, max_iterations=args.max_iter)
@@ -196,6 +202,8 @@ def _cmd_select(parser, args):
             "chosen": rep.chosen,
             "indeterminate": rep.indeterminate,
             "cutoffs": rep.cutoffs,
+            "capped": rep.capped,
+            "skipped_cutoffs": rep.skipped,
         })
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(reports, fh, indent=2, sort_keys=True)

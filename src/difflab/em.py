@@ -17,11 +17,15 @@ One loop serves both models and both modes.  In shared mode it fits a
 batch of independent problems in lockstep (``fit_batch``; ``fit`` is the
 batch of one): one statistics build over all their cascades, theta as one
 (strength, rate) pair per problem, and each problem's own convergence
-test, cap and errors.  Shared-mode totals are ``bincount`` sums, which run
-in input order within each problem, so a problem's result does not depend
-on its batch.  Per-link totals stay plain ``.sum()`` reductions.  No fit
-lists a frontier node's never-active parents: a sum over them is a
-whole-node sum minus the sum over its active parents.
+test, cap and errors.  Each problem's entries form one contiguous run of
+every block, and a shared-mode total is a segment sum (``np.add.reduceat``)
+over that run alone, so a problem's result does not depend on its batch.
+Terms that depend only on an entry's owner are formed once per owner: a
+cascade-model failure term once per (cascade, window) pair times its entry
+count, and the threshold model's pending mass once per frontier group.
+Per-link totals stay plain ``.sum()`` reductions.  No fit lists a
+frontier node's never-active parents: a sum over them is a whole-node sum
+minus the sum over its active parents.
 """
 
 from __future__ import annotations
@@ -302,67 +306,103 @@ class _Stats:
 # An E or M pass gathers theta for each entry through an index object and
 # reduces per-entry terms to one total per problem with ``total(block, x)``,
 # where ``block`` names the entry kind: "link" (activation entries),
-# "group" (activation groups), "fail" (failure entries), "f_link" and
-# "f_group" (frontier entries and groups).
+# "group" (activation groups), "fail" (failure terms) and "f_group"
+# (frontier groups).
 
 
 class _Problems:
     """Shared mode: ``n`` problems stacked in one statistics build, with
     ``problem[m]`` owning cascade m (ascending).  Theta is a pair of
-    length-n arrays.  Every total is a ``bincount``, which adds each
-    problem's terms in entry order, so a problem's results do not depend on
-    which other problems share its build.
+    length-n arrays.  Blocks list their entries by cascade, so each
+    problem's entries form one contiguous run, and ``total`` is a segment
+    sum (``np.add.reduceat``) over each run: 0 for an empty run, and the
+    same bits whichever other problems share the build.
 
-    ``link``, ``f_link`` and ``f_group`` gather theta for the entries of
-    their block; with one problem they are ``...``, and the length-1 theta
-    broadcasts to the same values without a gather."""
+    Failure entries that share a (cascade, window) pair have the same term,
+    so the "fail" block holds one entry per such pair, with its window
+    ``fail_dt`` and entry count ``fail_n``; ``fails`` counts each problem's
+    failure entries.
+
+    ``link``, ``fail``, ``f_link`` and ``f_group`` gather theta for the
+    entries of their block; with one problem they are ``...``, and the
+    length-1 theta broadcasts to the same values without a gather."""
 
     def __init__(self, stats, problem, n):
         self.n = n
         self.problem = problem
         self.first = np.searchsorted(problem, np.arange(n))
+        fail_m, fail_dt = stats.fail_m, stats.fail_dt
+        opens = np.ones(len(fail_m), dtype=bool)
+        opens[1:] = (fail_m[1:] != fail_m[:-1]) | (fail_dt[1:] != fail_dt[:-1])
+        owners = np.flatnonzero(opens)
+        self.fail_dt = fail_dt[owners]
+        self.fail_n = np.diff(owners, append=len(fail_m)).astype(np.float64)
         group = problem[stats.group_m]
+        link = group[stats.group]
+        fail = problem[fail_m[owners]]
         f_group = problem[stats.f_group_m]
-        self.blocks = {"group": group, "link": group[stats.group],
-                       "fail": problem[stats.fail_m], "f_group": f_group,
-                       "f_link": f_group[stats.f_group]}
+        self.runs = {"group": _runs(group, n), "link": _runs(link, n),
+                     "fail": _runs(fail, n), "f_group": _runs(f_group, n)}
         self.group = group
-        self.fail = self.blocks["fail"]
         if n == 1:
-            self.link = self.f_link = self.f_group = ...
+            self.link = self.fail = self.f_link = self.f_group = ...
         else:
-            self.link, self.f_link = self.blocks["link"], self.blocks["f_link"]
-            self.f_group = f_group
+            self.link, self.fail, self.f_group = link, fail, f_group
+            self.f_link = f_group[stats.f_group]
         self.groups = np.bincount(group, minlength=n).astype(np.float64)
-        self.trials = (np.bincount(self.blocks["link"], minlength=n)
-                       + np.bincount(self.fail, minlength=n)).astype(
-                           np.float64)
+        fails = np.bincount(problem[fail_m], minlength=n)
+        self.fails = fails.astype(np.float64)
+        self.trials = (np.bincount(link, minlength=n) + fails).astype(
+            np.float64)
         self.log_nb = self.total("group", np.log(stats.group_nb))
 
     def total(self, block, values):
-        return np.bincount(self.blocks[block], weights=values,
-                           minlength=self.n)
+        starts, full = self.runs[block]
+        if full is None:
+            return np.add.reduceat(values, starts)
+        out = np.zeros(self.n)
+        if len(starts):
+            out[full] = np.add.reduceat(values, starts)
+        return out
+
+    def per_failure(self, values):
+        """Sum over each problem's failure entries of a per-problem value;
+        0 without entries, also where the value is infinite."""
+        return np.where(self.fails > 0, self.fails * values, 0.0)
 
     @staticmethod
     def step(new, old):
         return np.abs(new[0] - old[0]) + np.abs(new[1] - old[1])
 
 
+def _runs(index, n):
+    """Where each of problems 0..n-1 starts in ``index`` (ascending), as
+    ``np.add.reduceat`` takes it: the starts of the non-empty runs, and a
+    mask of the problems they belong to (``None`` when none is empty)."""
+    starts = np.searchsorted(index, np.arange(n))
+    full = np.diff(starts, append=len(index)) > 0
+    if full.all():
+        return starts, None
+    return starts[full], full
+
+
 class _Links:
     """Per-link mode: one problem whose theta is edge-indexed; totals are
-    plain sums.  The M passes read two per-edge counts of the statistics:
-    ``trials``, the edge's activation and failure entries, and
-    ``has_inact``, whether the edge's parent is never active in some
-    frontier group at its child (fewer frontier entries on the edge than
-    frontier groups at the child)."""
+    plain sums, and each failure entry is its own term (``fail_n`` is 1).
+    The M passes read two per-edge counts of the statistics: ``trials``,
+    the edge's activation and failure entries, and ``has_inact``, whether
+    the edge's parent is never active in some frontier group at its child
+    (fewer frontier entries on the edge than frontier groups at the
+    child)."""
 
     n = 1
     first = np.zeros(1, dtype=np.intp)
+    fail_n = 1.0
 
     def __init__(self, stats):
         g = stats.g
         self.link = stats.link
-        self.fail = stats.fail_edges
+        self.fail, self.fail_dt = stats.fail_edges, stats.fail_dt
         self.group = np.zeros(stats.n_groups, dtype=np.intp)
         self.trials = (np.bincount(stats.link, minlength=g.edge_count)
                        + np.bincount(stats.fail_edges, minlength=g.edge_count)
@@ -374,6 +414,10 @@ class _Links:
     @staticmethod
     def total(block, values):
         return np.array([values.sum()])
+
+    def per_failure(self, values):
+        """Sum over the failure entries of a per-edge value."""
+        return self.total("fail", values[self.fail])
 
     @staticmethod
     def step(new, old):
@@ -412,10 +456,11 @@ def _asic_e(stats, at, theta, finite=False):
     With ``finite=True`` each observed non-activation keeps the within-window
     survival factor p*exp(-r*(T - t)) + (1 - p) instead of its T -> inf limit
     (1 - p); ``beta_fail`` is then the posterior mass of "succeeded but still
-    pending at the horizon".
+    pending at the horizon", one value per entry of the index's failure
+    block.
     """
     p, r = theta
-    p_arr, r_arr, fail_p = p[at.link], r[at.link], p[at.fail]
+    p_arr, r_arr = p[at.link], r[at.link]
     ee = np.exp(-r_arr * stats.dt)
     pe = p_arr * ee
     y = pe + (1.0 - p_arr)
@@ -424,15 +469,16 @@ def _asic_e(stats, at, theta, finite=False):
     alpha = w / group_sum[stats.group]
     beta = pe / y
     if finite:
-        pef = fail_p * np.exp(-r[at.fail] * stats.fail_dt)
+        fail_p = p[at.fail]
+        pef = fail_p * np.exp(-r[at.fail] * at.fail_dt)
         yf = pef + (1.0 - fail_p)
         beta_fail = pef / yf
-        fail_ll = np.log(yf)
+        fail_ll = at.total("fail", at.fail_n * np.log(yf))
     else:
         beta_fail = None
-        fail_ll = np.log1p(-fail_p)
+        fail_ll = at.per_failure(np.log1p(-p))
     ll = (at.total("link", np.log(y)) + at.total("group", np.log(group_sum))
-          + at.total("fail", fail_ll))
+          + fail_ll)
     return (alpha, beta, beta_fail), ll, group_sum
 
 
@@ -442,7 +488,8 @@ def _asic_m_shared(stats, at, terms, theta):
     den_r = at.total("link", gamma * stats.dt)
     num_p = at.total("link", gamma)
     if beta_fail is not None:
-        den_r += at.total("fail", beta_fail * stats.fail_dt)
+        beta_fail = at.fail_n * beta_fail
+        den_r += at.total("fail", beta_fail * at.fail_dt)
         num_p += at.total("fail", beta_fail)
     return _clamp(num_p / at.trials, at.groups / den_r)
 
@@ -472,8 +519,13 @@ def _asic_m_per_link(stats, at, terms, theta):
 
 
 def _aslt_e_shared(stats, at, theta):
-    """Threshold-model terms (phi, psi, varphi_slack, varphi_inact, gvals)
-    and log-likelihood; ``varphi_inact`` is per frontier group."""
+    """Threshold-model terms and log-likelihood.  The terms are (phi, e_g,
+    varphi_slack, q_nb, gvals, free, tail_sum, tail_dt): per frontier entry
+    only ``e_g = exp(-r * f_dt)``, and per frontier group the rest, with
+    ``free`` the never-active parents and ``tail_sum`` and ``tail_dt`` the
+    group's sums of e_g and e_g * f_dt.  An entry's psi is q_nb * e_g /
+    gvals, so a group's sum of psi is q_nb * tail_sum / gvals;
+    ``_entry_terms`` lists psi per entry."""
     q, r = theta
     neg_r = -r  # negated before the gathers, to the same bits
     e_h = np.exp(neg_r[at.link] * stats.dt)
@@ -482,23 +534,32 @@ def _aslt_e_shared(stats, at, theta):
     e_g = np.exp(neg_r[at.f_link] * stats.f_dt)
     tail_sum = np.bincount(stats.f_group, weights=e_g,
                            minlength=stats.n_f_groups)
+    tail_dt = np.bincount(stats.f_group, weights=e_g * stats.f_dt,
+                          minlength=stats.n_f_groups)
     nb = stats.f_group_nb
     free = nb - stats.f_group_k  # never-active parents per frontier group
     q_g = q[at.f_group]
     slack = 1.0 - q_g
     q_nb = q_g / nb
     gvals = slack + q_g * free / nb + q_nb * tail_sum
-    psi = q_nb[stats.f_group] * e_g / gvals[stats.f_group]
-    varphi_slack = slack / gvals
-    varphi_inact_total = free * q_nb / gvals
     ll = (at.groups * (np.log(q) + np.log(r)) - at.log_nb
           + at.total("group", np.log(h_sum))
           + at.total("f_group", np.log(gvals)))
-    return (phi, psi, varphi_slack, varphi_inact_total, gvals), ll, h_sum
+    return ((phi, e_g, slack / gvals, q_nb, gvals, free, tail_sum, tail_dt),
+            ll, h_sum)
+
+
+def _entry_terms(stats, terms):
+    """Shared-mode threshold terms in the per-link form (phi, psi,
+    varphi_slack, None, gvals), with psi listed per frontier entry."""
+    phi, e_g, varphi_slack, q_nb, gvals = terms[:5]
+    psi = q_nb[stats.f_group] * e_g / gvals[stats.f_group]
+    return phi, psi, varphi_slack, None, gvals
 
 
 def _aslt_e_per_link(stats, at, theta):
-    """Like ``_aslt_e_shared``, per edge, without ``varphi_inact``.  A
+    """Threshold-model terms (phi, psi, varphi_slack, None, gvals), per
+    edge and with psi per frontier entry, and log-likelihood.  A
     frontier group's never-active weight is its node's in-weight minus its
     active parents', floored at 0.  Both sums run in in-edge order, so it
     is exactly 0 when every parent is active."""
@@ -524,14 +585,16 @@ def _aslt_e_per_link(stats, at, theta):
 
 
 def _aslt_m_shared(stats, at, terms, theta):
-    phi, psi, varphi_slack, varphi_inact_total, _ = terms
+    phi, _, varphi_slack, q_nb, gvals, free, tail_sum, tail_dt = terms
     q, r = theta
-    a = (at.groups + at.total("f_link", psi)
-         + at.total("f_group", varphi_inact_total))
+    # Per frontier group, the pending mass (sum of psi) plus the
+    # never-active mass is q_nb * (tail_sum + free) / gvals.
+    pending = q_nb / gvals
+    a = at.groups + at.total("f_group", pending * (tail_sum + free))
     b = at.total("f_group", varphi_slack)
     ab = a + b
     denom = (at.total("link", phi * stats.dt)
-             + at.total("f_link", psi * stats.f_dt))
+             + at.total("f_group", pending * tail_dt))
     return _clamp(np.where(ab > 0, a / ab, q),
                   np.where(denom > 0, at.groups / denom, r))
 
@@ -665,7 +728,8 @@ def fit_batch(model: str, g, problems, config: EmConfig | None = None,
     statistics build covers every problem, and each E and M pass updates
     all problems still iterating at once.  Each problem keeps its own
     convergence test and cap, and its result does not depend on the other
-    problems in the batch: per-problem totals are sums in entry order.
+    problems in the batch: per-problem totals are segment sums over the
+    problem's own entries.
 
     Returns, per problem, ``(params, EmTrace)`` or the ``EstimationError``
     that stopped it (a zero-probability activation, no non-initial
@@ -885,7 +949,8 @@ def e_step_aslt(g, data, params) -> Responsibilities:
         terms, ll, dens = e_pass(stats, at, theta)
     _check_density(stats, at, dens)
     _check_loglik(float(ll[0]))
-    phi, psi, varphi_slack, _, gvals = terms
+    phi, psi, varphi_slack, _, gvals = (
+        terms if per_link else _entry_terms(stats, terms))
     i_link, i_group = stats.never_active()
     q_inact = (theta[0][i_link] if per_link
                else params.q / stats.f_group_nb[i_group])
@@ -916,6 +981,8 @@ def m_step_aslt(g, data, resp: Responsibilities, mode: str = SHARED):
                               _to_theta(g, "aslt", params, per_link=False))
         return _to_params(g, "aslt", (s[0], r[0]))
     # Shared-mode terms serve too: the update reads their gvals.
+    if params.mode == SHARED:
+        terms = _entry_terms(stats, terms)
     theta = _to_theta(g, "aslt", params, per_link=True)
     return _to_params(g, "aslt",
                       _aslt_m_per_link(stats, _Links(stats), terms, theta))
@@ -956,12 +1023,20 @@ def save_params(path, model: str, params, iterations: int = 0,
 
 
 def load_params(path):
-    """Read a parameter JSON document; returns (model, params)."""
+    """Read a parameter JSON document; returns (model, params).  A document
+    without a known model, mode or parameter field raises
+    ``ParameterError``."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    model = doc["model"]
+    model = doc.get("model") if isinstance(doc, dict) else None
+    strength = "p" if model == "asic" else "q"
+    if (model not in ("asic", "aslt") or strength not in doc
+            or "r" not in doc or doc.get("mode") not in (SHARED, PER_LINK)):
+        raise ParameterError(
+            f'{path}: expected a JSON object with "model" (asic or aslt), '
+            '"mode" (shared or per_link), "p" or "q", and "r"')
     cls = AsicParams if model == "asic" else AsltParams
-    strength, r = doc["p" if model == "asic" else "q"], doc["r"]
+    strength, r = doc[strength], doc["r"]
     if doc["mode"] == SHARED:
         return model, cls.shared(strength, r)
     return model, cls.per_link(

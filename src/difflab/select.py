@@ -10,9 +10,9 @@ the smaller score is selected.
 Refits run in shared mode.  ``select_topics`` refits all topics in
 lockstep by cutoff rank: the k-th cutoff of every topic goes into one
 ``fit_batch`` call, warm-started from that topic's own previous cutoff.
-Shared-mode sums run in input order per topic, so a topic's report does
-not depend on which topics share its batch; ``select_model`` is the batch
-of one.
+Each shared-mode total is a segment sum over one topic's own entries, so a
+topic's report does not depend on which topics share its batch;
+``select_model`` is the batch of one.
 """
 
 from __future__ import annotations

@@ -221,6 +221,26 @@ class TestLearnSelect:
         assert capsys.readouterr().err == (
             f"error: cascade 1 references node {node} outside the graph\n")
 
+    def test_select_reports_refit_counts(self, tmp_path):
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n1 2\n")
+        casc = tmp_path / "c.jsonl"
+        # The first cutoff (t=3) leaves only seeds, so both models skip it.
+        casc.write_text("".join(json.dumps(rec) + "\n" for rec in [
+            {"id": "a", "events": [[0, 0.0], [1, 3.0], [2, 4.0]],
+             "horizon": 5.0},
+            {"id": "b", "events": [[0, 0.0]], "horizon": 5.0}]))
+        out = tmp_path / "report.json"
+        # One update per refit, which no refit meets the tolerance in.
+        rc = _run(["select", "--graph", graph, "--cascades", casc,
+                   "--max-iter", "1", "--tol", "1e-300", "--out", out])
+        assert rc == 0
+        (rep,) = json.loads(out.read_text())
+        for model in ("asic", "aslt"):
+            nulls = sum(cut[f"h_{model}"] is None for cut in rep["cutoffs"])
+            assert rep["skipped_cutoffs"][model] == nulls == 1
+            assert rep["capped"][model] == len(rep["cutoffs"]) - nulls
+
     def test_select_single_event_topic_skipped(self, tmp_path, graph_file):
         casc = tmp_path / "one.jsonl"
         casc.write_text(json.dumps(
@@ -344,6 +364,36 @@ class TestInputErrors:
                    "--out", tmp_path / "r.csv"])
         self._assert_error(capsys, rc, f"{graph}: not UTF-8 text",
                            "at byte 0")
+
+
+    @pytest.mark.parametrize("text, part", [
+        ('{"model": "asic", "p": 0.2', "not valid JSON: "),
+        ('{"p": 0.2}', '"model"'),
+    ])
+    def test_malformed_params_file(self, tmp_path, capsys, graph_file, text,
+                                   part):
+        params = tmp_path / "params.json"
+        params.write_text(text)
+        rc = _run(["influence", "--graph", graph_file, "--model", "asic",
+                   "--method", "mc", "--params", params, "--samples", "10",
+                   "--seed", "1", "--out", tmp_path / "i.csv"])
+        self._assert_error(capsys, rc, f"{params}: ", part)
+
+    @pytest.mark.parametrize("text, part", [
+        ('{"a": "x",', "not valid JSON: "),
+        ('["a", "x"]', "expected a JSON object"),
+    ])
+    def test_malformed_topic_labels(self, tmp_path, capsys, text, part):
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n1 2\n")
+        casc = tmp_path / "c.jsonl"
+        casc.write_text(json.dumps({"id": "a", "events": [[0, 0.0], [1, 1.0]],
+                                    "horizon": 2.0}) + "\n")
+        labels = tmp_path / "labels.json"
+        labels.write_text(text)
+        rc = _run(["select", "--graph", graph, "--cascades", casc,
+                   "--topic-labels", labels, "--out", tmp_path / "s.json"])
+        self._assert_error(capsys, rc, f"{labels}: ", part)
 
 
 class TestScipyLoadedOnlyBySparseSolvers:

@@ -12,7 +12,7 @@ from difflab import (AsicParams, AsltParams, Cascade, DelayMode,
                      save_params)
 from difflab.cascade import effective_parents, frontier
 from difflab.em import (_Links, _Stats, _aslt_e_per_link, _aslt_e_shared,
-                        _aslt_m_per_link, _single, _to_theta)
+                        _aslt_m_per_link, _entry_terms, _single, _to_theta)
 from difflab.params import PER_LINK, SHARED
 from difflab.rng import derive_rng
 
@@ -474,8 +474,9 @@ class TestPerLinkAsltOracle:
                 # Shared responsibilities, with per-entry never-active
                 # terms, as the earlier per-link update took them.
                 at = _single(stats, data, None)
-                phi, psi, slack, _, gvals = _aslt_e_shared(
-                    stats, at, _to_theta(g, "aslt", params, False))[0]
+                phi, psi, slack, _, gvals = _entry_terms(
+                    stats, _aslt_e_shared(
+                        stats, at, _to_theta(g, "aslt", params, False))[0])
                 want = (phi, psi, slack, (params.q / stats.f_group_nb[
                     i_group]) / gvals[i_group], gvals)
             q, r = aslt_m_per_link_iblock(stats, i_link, want, theta)

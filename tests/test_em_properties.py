@@ -1,6 +1,7 @@
 """Property tests on digraphs of at most 9 nodes: the EM statistics builder
-against the reference loop, and the per-link threshold-model E and M passes
-against the passes that list every never-active parent."""
+against the reference loop, the per-link threshold-model E and M passes
+against the passes that list every never-active parent, and batched
+shared-mode fits against solo fits."""
 
 import random
 
@@ -10,7 +11,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from difflab import Cascade, DirectedGraph  # noqa: E402
+from difflab import (AsicParams, AsltParams, Cascade,  # noqa: E402
+                     DirectedGraph, EmConfig, EstimationError, fit, fit_batch)
 from difflab.em import (_Links, _Stats, _aslt_e_per_link,  # noqa: E402
                         _aslt_m_per_link)
 
@@ -124,3 +126,48 @@ def test_per_link_aslt_passes_match_never_active_block(case):
         got_theta = _aslt_m_per_link(stats, _Links(stats), got, theta)
     _assert_close(got_theta[0], want_theta[0])
     _assert_close(got_theta[1], want_theta[1])
+
+
+@st.composite
+def batched_problems(draw):
+    """Problems of one to three cascades on one digraph, some with a warm
+    start, and a split of them, in random order, into batches."""
+    g, data = draw(graphs_and_cascades())
+    problems = []
+    for _ in range(draw(st.integers(1, 6))):
+        picks = draw(st.lists(st.integers(0, len(data) - 1), min_size=1,
+                              max_size=3))
+        start = draw(st.sampled_from([None, (0.3, 2.0), (0.9, 0.5)]))
+        problems.append(([data[i] for i in picks], start))
+    order = draw(st.permutations(range(len(problems))))
+    cuts = sorted(draw(st.sets(st.integers(1, len(problems) - 1)))
+                  if len(problems) > 1 else ())
+    bounds = [0, *cuts, len(problems)]
+    return g, problems, [order[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(batched_problems(), st.sampled_from(["asic", "aslt"]),
+                  st.sampled_from(["infinite", "finite"]))
+def test_batched_fit_equals_solo_fit(case, model, horizon_mode):
+    g, problems, batches = case
+    config = EmConfig(max_iterations=15)
+    cls = AsicParams if model == "asic" else AsltParams
+    starts = [None if s is None else cls.shared(*s) for _, s in problems]
+    solo = []
+    for (data, _), start in zip(problems, starts):
+        try:
+            solo.append(fit(model, g, data, config, init_params=start,
+                            horizon_mode=horizon_mode))
+        except EstimationError as exc:
+            solo.append(exc)
+    for batch in batches:
+        got = fit_batch(model, g, [problems[b][0] for b in batch], config,
+                        [starts[b] for b in batch], horizon_mode=horizon_mode)
+        for b, result in zip(batch, got):
+            want = solo[b]
+            if isinstance(want, EstimationError):
+                assert isinstance(result, EstimationError)
+                assert str(result) == str(want)
+            else:
+                assert repr(result) == repr(want)

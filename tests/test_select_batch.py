@@ -135,7 +135,8 @@ class TestBatchIndependence:
             assert rows[topic]["chosen"] in ("asic", "aslt")
             assert set(rows[topic]) == {"topic", "score_asic", "score_aslt",
                                         "j", "chosen", "indeterminate",
-                                        "cutoffs"}
+                                        "cutoffs", "capped",
+                                        "skipped_cutoffs"}
 
 
 @st.composite
@@ -227,6 +228,19 @@ def _good_problem(g, seed, model):
                                  (seed, "batch"), max_attempts=50_000)
 
 
+def _fully_active_problem(g, source):
+    """Every node reachable from ``source``, activated in BFS order: no
+    active node has an inactive child, so the failure and frontier blocks
+    are empty."""
+    times, queue = {source: 0.0}, [source]
+    for u in queue:
+        for v in g.out_adj[u]:
+            if v not in times:
+                times[v] = times[u] + 0.5 + 0.01 * len(times)
+                queue.append(v)
+    return [Cascade(list(times.items()), max(times.values()) + 1.0)]
+
+
 class TestFitBatch:
     @pytest.mark.parametrize("model", ["asic", "aslt"])
     @pytest.mark.parametrize("horizon_mode", ["infinite", "finite"])
@@ -244,10 +258,15 @@ class TestFitBatch:
             # b activates with no active parent.
             [Cascade([(u, 0.0)], 1.0), Cascade([(a, 0.0), (b, 0.5)], 2.0)],
             _good_problem(g, 2, model),
+            _fully_active_problem(g, 3),
+            _good_problem(g, 4, model),
+            # Last, so its empty failure or frontier run starts at the end
+            # of the block.
+            _fully_active_problem(g, 5),
         ]
         config = EmConfig(max_iterations=40)
         starts = [None, None, AsicParams.shared(0.3, 2.0) if model == "asic"
-                  else AsltParams.shared(0.6, 2.0), None, None, None]
+                  else AsltParams.shared(0.6, 2.0)] + [None] * 6
         batched = fit_batch(model, g, problems, config, starts,
                             horizon_mode=horizon_mode)
         assert len(batched) == len(problems)
@@ -265,6 +284,8 @@ class TestFitBatch:
         assert "underflowed" in str(batched[1])
         assert "no non-initial activations" in str(batched[3])
         assert str(batched[4]).startswith("cascade 1: node ")
+        for b in (6, 8):
+            assert not isinstance(batched[b], EstimationError)
 
     def test_zero_probability_error_counts_cascades_within_problem(self):
         g = DirectedGraph(3, [(0, 1), (1, 2)])
