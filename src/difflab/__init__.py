@@ -21,9 +21,8 @@ from .cascade import (Cascade, CascadeSet, dumps_cascades, effective_parents,
                       frontier, loads_cascades, read_cascades, write_cascades)
 from .centrality import (RankedList, centrality, rank_by_score,
                          ranking_similarity)
-from .em import (EmConfig, EmTrace, Responsibilities, e_step_asic,
-                 e_step_aslt, fit, fit_batch, load_params, m_step_asic,
-                 m_step_aslt, param_error, save_params)
+from .em import (EmConfig, EmTrace, fit, fit_batch, load_params, param_error,
+                 save_params)
 from .errors import (CascadeError, DiffLabError, EdgeListParseError,
                      EstimationError, GraphValidationError,
                      InsufficientDataError, ParameterError,

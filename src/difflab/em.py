@@ -13,13 +13,15 @@ of each cascade.  Shared mode pools every link into one (p, r) or (q, r)
 pair; per-link mode keeps one parameter per edge, and edges never touched by
 the data keep their current values (counted as warnings).
 
-One loop serves both models and both modes.  In shared mode it fits a
-batch of independent problems in lockstep (``fit_batch``; ``fit`` is the
-batch of one): one statistics build over all their cascades, theta as one
-(strength, rate) pair per problem, and each problem's own convergence
-test, cap and errors.  Each problem's entries form one contiguous run of
-every block, and a shared-mode total is a segment sum (``np.add.reduceat``)
-over that run alone, so a problem's result does not depend on its batch.
+One loop serves both models and both modes, and ``fit`` and ``fit_batch``
+are its only entry points; the E and M passes are private.  In shared mode
+it fits a batch of independent problems in lockstep (``fit_batch``;
+``fit`` is the batch of one): one statistics build over all their
+cascades, theta as one (strength, rate) pair per problem, and each
+problem's own convergence test, cap and errors.  Each problem's entries
+form one contiguous run of every block, and a shared-mode total is a
+segment sum (``np.add.reduceat``) over that run alone, so a problem's
+result does not depend on its batch.
 Terms that depend only on an entry's owner are formed once per owner: a
 cascade-model failure term once per (cascade, window) pair times its entry
 count, and the threshold model's pending mass once per frontier group.
@@ -88,31 +90,6 @@ class EmTrace:
     converged: bool = False
     iterations: int = 0
     untouched_links: int = 0
-
-
-@dataclass
-class Responsibilities:
-    """Posterior attribution of observed events to latent causes.
-
-    Cascade model: ``alpha[(m, u, v)]`` is the posterior probability that
-    parent u caused v's activation in cascade m (summing to 1 over v's
-    effective parents); ``beta`` is the probability that u's single chance
-    succeeded but would have landed past t_v, given that it did not land
-    in time.
-
-    Threshold model: ``phi`` attributes each activation to a tipping parent;
-    for each frontier node, ``varphi`` (keyed (m, v, v) for the slack weight
-    and (m, u, v) for never-active parents) and ``psi`` (still-pending
-    active parents) split the survival mass and together sum to 1.
-    """
-
-    model: str = "asic"
-    alpha: dict = field(default_factory=dict)
-    beta: dict = field(default_factory=dict)
-    phi: dict = field(default_factory=dict)
-    varphi: dict = field(default_factory=dict)
-    psi: dict = field(default_factory=dict)
-    _ctx: object = None
 
 
 # -- sufficient statistics ---------------------------------------------------
@@ -293,13 +270,6 @@ class _Stats:
                                + in_pos[self.f_link[f]])] = True
         return g.in_edges[pos[~listed]], groups[owner[~listed]]
 
-    def keys(self, group_m, group, link):
-        """(cascade, parent, child) of each entry of one block, given the
-        block's per-group cascades and its entries' groups and edges."""
-        edges = self.g.edges
-        return [(m, *edges[e])
-                for m, e in zip(group_m[group].tolist(), link.tolist())]
-
 
 # -- problem indexing --------------------------------------------------------
 #
@@ -438,11 +408,6 @@ def _underflows(stats, at, dens, open_):
     return out
 
 
-def _check_density(stats, at, dens):
-    for exc in _underflows(stats, at, dens, [True]).values():
-        raise exc
-
-
 # -- E and M passes ---------------------------------------------------------
 #
 # theta = (strength, rate): one value per problem in shared mode, one per
@@ -523,9 +488,8 @@ def _aslt_e_shared(stats, at, theta):
     varphi_slack, q_nb, gvals, free, tail_sum, tail_dt): per frontier entry
     only ``e_g = exp(-r * f_dt)``, and per frontier group the rest, with
     ``free`` the never-active parents and ``tail_sum`` and ``tail_dt`` the
-    group's sums of e_g and e_g * f_dt.  An entry's psi is q_nb * e_g /
-    gvals, so a group's sum of psi is q_nb * tail_sum / gvals;
-    ``_entry_terms`` lists psi per entry."""
+    group's sums of e_g and e_g * f_dt.  The M pass reads a group's
+    pending mass as q_nb * tail_sum / gvals."""
     q, r = theta
     neg_r = -r  # negated before the gathers, to the same bits
     e_h = np.exp(neg_r[at.link] * stats.dt)
@@ -547,14 +511,6 @@ def _aslt_e_shared(stats, at, theta):
           + at.total("f_group", np.log(gvals)))
     return ((phi, e_g, slack / gvals, q_nb, gvals, free, tail_sum, tail_dt),
             ll, h_sum)
-
-
-def _entry_terms(stats, terms):
-    """Shared-mode threshold terms in the per-link form (phi, psi,
-    varphi_slack, None, gvals), with psi listed per frontier entry."""
-    phi, e_g, varphi_slack, q_nb, gvals = terms[:5]
-    psi = q_nb[stats.f_group] * e_g / gvals[stats.f_group]
-    return phi, psi, varphi_slack, None, gvals
 
 
 def _aslt_e_per_link(stats, at, theta):
@@ -608,18 +564,20 @@ def _clamp(strength, rate):
 def _aslt_m_per_link(stats, at, terms, theta):
     """Per-edge update.  A never-active parent u of v holds q_uv / gvals
     of each frontier group at v where u is not active: the sum over every
-    frontier group at v minus the groups where u is active.  Both sums run
-    in group order, so it is exactly 0 when u is active in all of them."""
+    frontier group at v minus the groups where u is active, and 0 when u
+    is active in all of them."""
     phi, psi, varphi_slack, _, gvals = terms
     q_vec, r_vec = theta
     n_edges, n, heads = len(q_vec), stats.g.node_count, stats.g.heads
     inv = 1.0 / gvals
     whole = np.bincount(stats.f_group_node, weights=inv, minlength=n)[heads]
-    inact = whole - np.bincount(stats.f_link, weights=inv[stats.f_group],
-                                minlength=n_edges)
+    inact = np.where(at.has_inact, whole - np.bincount(
+        stats.f_link, weights=inv[stats.f_group], minlength=n_edges), 0.0)
     # Where the groups with u active hold nearly all of the sum, the
-    # difference keeps few digits: add up those nodes' entries instead.
-    lossy = (inact < 1e-2 * whole) & at.has_inact
+    # difference keeps few digits, and where a survival mass is so small
+    # that its 1 / gvals overflows, it is inf - inf: add up those nodes'
+    # entries instead.
+    lossy = ((inact < 1e-2 * whole) | ~np.isfinite(inact)) & at.has_inact
     if lossy.any():
         i_link, i_group = stats.never_active(
             np.isin(stats.f_group_node, heads[lossy]))
@@ -644,28 +602,6 @@ def _aslt_m_per_link(stats, at, terms, theta):
     r_new = np.where(has_r, num_r / np.where(has_r, den_r, 1.0), r_vec)
     np.clip(r_new, RATE_FLOOR, RATE_CEIL, out=r_new)
     return q_new, r_new
-
-
-def _check_loglik(ll):
-    if not math.isfinite(ll):
-        raise EstimationError(f"non-finite log-likelihood ({ll})")
-
-
-def _to_theta(g, model, params, per_link):
-    """``(strength, rate)`` of ``params``: length-1 arrays of its shared
-    values, or edge-indexed vectors when ``per_link`` (a shared weight q
-    splits as q / |B(v)|)."""
-    strength = params.p if model == "asic" else params.q
-    if not per_link:
-        return np.array([strength]), np.array([params.r])
-    if params.mode == PER_LINK:
-        return (np.asarray([strength[e] for e in g.edges]),
-                np.asarray([params.r[e] for e in g.edges]))
-    if model == "asic":
-        s_vec = np.full(g.edge_count, strength)
-    else:
-        s_vec = strength / g.in_degree[g.heads]
-    return s_vec, np.full(g.edge_count, params.r)
 
 
 def _to_params(g, model, theta):
@@ -798,10 +734,11 @@ def _fit(model, g, problems, config, starts, finite):
     untouched = 0
     if per_link:
         at = _Links(stats)
-        shared = (AsicParams.shared(config.init_p, config.init_r)
+        # A shared weight q splits over each node's parents as q / |B(v)|.
+        theta = ((np.full(g.edge_count, float(config.init_p))
                   if model == "asic"
-                  else AsltParams.shared(config.init_q, config.init_r))
-        theta = _to_theta(g, model, shared, per_link=True)
+                  else float(config.init_q) / g.in_degree[g.heads]),
+                 np.full(g.edge_count, float(config.init_r)))
         # A frontier node's in-edges are frontier or never-active entries.
         touched = np.isin(g.heads, stats.f_group_node)
         touched[stats.link] = touched[stats.fail_edges] = True
@@ -826,7 +763,7 @@ def _fit(model, g, problems, config, starts, finite):
     converged = np.zeros(n, dtype=bool)
     iterations = np.zeros(n, dtype=np.intp)
     lls, thetas = [], []
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for it in range(config.max_iterations + 1):
             terms, ll, dens = e_pass(stats, at, theta)
             lls.append(ll)
@@ -897,95 +834,6 @@ def _fit(model, g, problems, config, starts, finite):
             converged=bool(converged[b]), iterations=k,
             untouched_links=untouched)))
     return results
-
-
-# -- single-step public surface ----------------------------------------------
-
-
-def _single(stats, data, params):
-    """The index of one problem: shared, or per-link for per-link params."""
-    if params is not None and params.mode == PER_LINK:
-        return _Links(stats)
-    return _Problems(stats, np.zeros(len(data), dtype=np.intp), 1)
-
-
-def e_step_asic(g, data, params) -> Responsibilities:
-    """Responsibilities of the cascade model at the given parameters."""
-    stats = _Stats(g, data, "asic")
-    at = _single(stats, data, params)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms, ll, dens = _asic_e(stats, at, _to_theta(
-            g, "asic", params, params.mode == PER_LINK))
-    _check_density(stats, at, dens)
-    _check_loglik(float(ll[0]))
-    alpha, beta, _ = terms
-    keys = stats.keys(stats.group_m, stats.group, stats.link)
-    return Responsibilities(model="asic",
-                            alpha=dict(zip(keys, alpha.tolist())),
-                            beta=dict(zip(keys, beta.tolist())),
-                            _ctx=(stats, terms, params))
-
-
-def m_step_asic(g, data, resp: Responsibilities, mode: str = SHARED):
-    """One closed-form update from cascade-model responsibilities."""
-    stats, terms, params = resp._ctx
-    if mode == SHARED:
-        at = _single(stats, data, None)
-        s, r = _asic_m_shared(stats, at, terms, None)
-        return _to_params(g, "asic", (s[0], r[0]))
-    theta = _to_theta(g, "asic", params, per_link=True)
-    return _to_params(g, "asic",
-                      _asic_m_per_link(stats, _Links(stats), terms, theta))
-
-
-def e_step_aslt(g, data, params) -> Responsibilities:
-    """Responsibilities of the threshold model at the given parameters."""
-    stats = _Stats(g, data, "aslt")
-    at = _single(stats, data, params)
-    per_link = params.mode == PER_LINK
-    theta = _to_theta(g, "aslt", params, per_link)
-    e_pass = _aslt_e_per_link if per_link else _aslt_e_shared
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms, ll, dens = e_pass(stats, at, theta)
-    _check_density(stats, at, dens)
-    _check_loglik(float(ll[0]))
-    phi, psi, varphi_slack, _, gvals = (
-        terms if per_link else _entry_terms(stats, terms))
-    i_link, i_group = stats.never_active()
-    q_inact = (theta[0][i_link] if per_link
-               else params.q / stats.f_group_nb[i_group])
-    varphi = dict(zip(stats.keys(stats.f_group_m, i_group, i_link),
-                      (q_inact / gvals[i_group]).tolist()))
-    for m, v, val in zip(stats.f_group_m.tolist(),
-                         stats.f_group_node.tolist(), varphi_slack.tolist()):
-        varphi[(m, v, v)] = val
-    return Responsibilities(
-        model="aslt",
-        phi=dict(zip(stats.keys(stats.group_m, stats.group, stats.link),
-                     phi.tolist())),
-        varphi=varphi,
-        psi=dict(zip(stats.keys(stats.f_group_m, stats.f_group,
-                                stats.f_link), psi.tolist())),
-        _ctx=(stats, terms, params))
-
-
-def m_step_aslt(g, data, resp: Responsibilities, mode: str = SHARED):
-    """One closed-form update from threshold-model responsibilities."""
-    stats, terms, params = resp._ctx
-    if mode == SHARED:
-        if params.mode != SHARED:
-            raise EstimationError(
-                "shared update requires shared-mode responsibilities")
-        at = _single(stats, data, params)
-        s, r = _aslt_m_shared(stats, at, terms,
-                              _to_theta(g, "aslt", params, per_link=False))
-        return _to_params(g, "aslt", (s[0], r[0]))
-    # Shared-mode terms serve too: the update reads their gvals.
-    if params.mode == SHARED:
-        terms = _entry_terms(stats, terms)
-    theta = _to_theta(g, "aslt", params, per_link=True)
-    return _to_params(g, "aslt",
-                      _aslt_m_per_link(stats, _Links(stats), terms, theta))
 
 
 def param_error(estimate: float, truth: float) -> float:

@@ -71,7 +71,7 @@ class _RateMixin:
         except KeyError:
             raise ParameterError(f"no delay rate for node {v}") from None
 
-    def _validate_rates(self, delay: DelayMode | None):
+    def _validate_rates(self):
         if self.mode == SHARED:
             object.__setattr__(self, "r", _check_rate("r", self.r))
             return
@@ -104,7 +104,7 @@ class AsicParams(_RateMixin):
                 {k: _check_prob(f"p[{k}]", val, allow_zero=True)
                  for k, val in dict(p).items()})
         object.__setattr__(self, "r", r)
-        self._validate_rates(None)
+        self._validate_rates()
 
     def __setattr__(self, name, value):
         raise AttributeError("AsicParams is immutable")
@@ -164,7 +164,7 @@ class AsltParams(_RateMixin):
             object.__setattr__(self, "q", qmap)
             object.__setattr__(self, "_in_weight_sum", sums)
         object.__setattr__(self, "r", r)
-        self._validate_rates(None)
+        self._validate_rates()
 
     def __setattr__(self, name, value):
         raise AttributeError("AsltParams is immutable")

@@ -4,8 +4,8 @@ import pytest
 
 from difflab import (AsicParams, AsltParams, Cascade, CascadeError,
                      CascadeSet, DelayMode, DirectedGraph, dumps_cascades,
-                     e_step_asic, e_step_aslt, effective_parents, fit,
-                     frontier, loads_cascades, loglik, select_model)
+                     effective_parents, fit, frontier, loads_cascades, loglik,
+                     select_model)
 
 
 class TestCascade:
@@ -90,11 +90,8 @@ class TestNodesOutsideGraph:
         g, data, want = case
         params = (AsicParams.shared(0.5, 1.0) if model == "asic"
                   else AsltParams.shared(0.5, 1.0))
-        e_step = e_step_asic if model == "asic" else e_step_aslt
         with pytest.raises(CascadeError, match=want):
             fit(model, g, data)
-        with pytest.raises(CascadeError, match=want):
-            e_step(g, data, params)
         with pytest.raises(CascadeError, match=want):
             loglik(model, g, params, DelayMode.LINK, data)
 

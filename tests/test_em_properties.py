@@ -1,7 +1,8 @@
 """Property tests on digraphs of at most 9 nodes: the EM statistics builder
-against the reference loop, the per-link threshold-model E and M passes
-against the passes that list every never-active parent, and batched
-shared-mode fits against solo fits."""
+against the reference loop, the first log-likelihood of a fit against the
+likelihood module, the per-link threshold-model E and M passes against the
+passes that list every never-active parent, and batched shared-mode fits
+against solo fits."""
 
 import random
 
@@ -12,7 +13,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from difflab import (AsicParams, AsltParams, Cascade,  # noqa: E402
-                     DirectedGraph, EmConfig, EstimationError, fit, fit_batch)
+                     DelayMode, DirectedGraph, EmConfig, EstimationError, fit,
+                     fit_batch, loglik)
 from difflab.em import (_Links, _Stats, _aslt_e_per_link,  # noqa: E402
                         _aslt_m_per_link)
 
@@ -52,6 +54,41 @@ def graphs_and_cascades(draw):
 def test_stats_match_loop(case):
     for model in ("asic", "aslt"):
         assert_stats_match_loop(*case, model)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(graphs_and_cascades(), st.sampled_from(["asic", "aslt"]),
+                  st.sampled_from(["shared", "per_link"]),
+                  st.sampled_from(["infinite", "finite"]))
+def test_first_fit_loglik_equals_loglik(case, model, mode, horizon_mode):
+    """The vectorised log-likelihood at a fit's start parameters equals the
+    likelihood module's; a fit that fails has data of likelihood 0 or
+    nothing to fit."""
+    g, data = case
+    config = EmConfig(max_iterations=1, mode=mode)
+    cls = AsicParams if model == "asic" else AsltParams
+    start = cls.shared(config.init_p if model == "asic" else config.init_q,
+                       config.init_r)
+    try:
+        _, trace = fit(model, g, data, config, horizon_mode=horizon_mode)
+    except EstimationError:
+        want = loglik(model, g, start, DelayMode.LINK, data,
+                      horizon_mode=horizon_mode)
+        assert want == -np.inf or all(
+            t == c.initial_time for c in data for _, t in c.events)
+        return
+    if mode == "per_link":
+        strength, rate = trace.params_history[0]
+        start = cls.per_link(dict(zip(g.edges, strength.tolist())),
+                             dict(zip(g.edges, rate.tolist())))
+    want = loglik(model, g, start, DelayMode.LINK, data,
+                  horizon_mode=horizon_mode)
+    # Each cascade has at most one log term per event and one per edge;
+    # terms that match to 1e-12 each do not give a relative bound on a
+    # total near 0.
+    terms = sum(len(c.events) + g.edge_count for c in data)
+    assert trace.loglik[0] == pytest.approx(want, rel=1e-10,
+                                            abs=1e-12 * terms)
 
 
 @st.composite
@@ -104,11 +141,11 @@ def test_per_link_aslt_passes_match_never_active_block(case):
     stats = _Stats(g, data, "aslt")
     loop = em_stats_loop(g, data, "aslt")
     i_link, i_group = loop["i_link"], loop["i_group"]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         want, want_ll, want_dens = aslt_e_per_link_iblock(
             stats, i_link, i_group, theta)
         got, got_ll, got_dens = _aslt_e_per_link(stats, _Links(stats), theta)
-        # e_step_aslt's never-active responsibilities
+        # The never-active responsibilities
         _assert_close(theta[0][i_link] / got[4][i_group], want[3])
     for i in (0, 1, 2, 4):
         _assert_close(got[i], want[i])
@@ -121,7 +158,7 @@ def test_per_link_aslt_passes_match_never_active_block(case):
         # A fit stops before the M pass; the earlier M pass also fails on
         # the integer-typed sums of an empty activation block.
         return
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         want_theta = aslt_m_per_link_iblock(stats, i_link, want, theta)
         got_theta = _aslt_m_per_link(stats, _Links(stats), got, theta)
     _assert_close(got_theta[0], want_theta[0])
