@@ -33,9 +33,8 @@ from .graph import (DirectedGraph, dumps_edge_list, erdos_renyi,
 from .influence import (CumulativeInfluence, InfluenceTable,
                         cumulative_influence, influence_direct_mc,
                         influence_percolation)
-from .likelihood import (NodeDensityTerms, g_asic, g_aslt, h_asic, h_aslt,
-                         loglik, node_density_terms, x_density_asic,
-                         x_density_aslt, y_survival_asic)
+from .likelihood import (g_asic, g_aslt, h_asic, h_aslt, loglik,
+                         x_density_asic, x_density_aslt, y_survival_asic)
 from .params import (PER_LINK, SHARED, AsicParams, AsltParams, DelayMode)
 from .select import (ObservationPeriods, SelectionReport,
                      build_observation_periods, predictive_score,

@@ -850,9 +850,14 @@ def _edge_key(e):
     return f"{e[0]},{e[1]}"
 
 
-def _parse_edge_key(s):
-    u, v = s.split(",")
-    return (int(u), int(v))
+def _edge_map(name, values):
+    """A per-link map {"u,v": value} keyed by (u, v)."""
+    try:
+        pairs = [(key.split(","), val) for key, val in values.items()]
+        return {(int(u), int(v)): val for (u, v), val in pairs}
+    except (AttributeError, ValueError):
+        raise ParameterError(f'per-link "{name}" must be an object mapping '
+                             '"u,v" links to values') from None
 
 
 def save_params(path, model: str, params, iterations: int = 0,
@@ -872,8 +877,8 @@ def save_params(path, model: str, params, iterations: int = 0,
 
 def load_params(path):
     """Read a parameter JSON document; returns (model, params).  A document
-    without a known model, mode or parameter field raises
-    ``ParameterError``."""
+    without a known model, mode or parameter field, or with a malformed or
+    out-of-range value, raises ``ParameterError`` naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     model = doc.get("model") if isinstance(doc, dict) else None
@@ -884,9 +889,10 @@ def load_params(path):
             f'{path}: expected a JSON object with "model" (asic or aslt), '
             '"mode" (shared or per_link), "p" or "q", and "r"')
     cls = AsicParams if model == "asic" else AsltParams
-    strength, r = doc[strength], doc["r"]
-    if doc["mode"] == SHARED:
-        return model, cls.shared(strength, r)
-    return model, cls.per_link(
-        {_parse_edge_key(k): val for k, val in strength.items()},
-        {_parse_edge_key(k): val for k, val in r.items()})
+    try:
+        if doc["mode"] == SHARED:
+            return model, cls.shared(doc[strength], doc["r"])
+        return model, cls.per_link(_edge_map(strength, doc[strength]),
+                                   _edge_map("r", doc["r"]))
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None

@@ -17,7 +17,6 @@ log-likelihood is then ``-inf`` and the offending events are reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .cascade import check_in_graph, effective_parents, frontier
 from .errors import CascadeError
@@ -25,55 +24,6 @@ from .params import DelayMode
 
 INFINITE = "infinite"
 FINITE = "finite"
-
-
-@dataclass
-class NodeDensityTerms:
-    """Per-parent breakdown of one node's activation density.
-
-    ``x_terms[u]`` is the density that parent u fired the activation exactly
-    when it happened; ``y_terms[u]`` the probability u had not caused it yet
-    (cascade model only; the threshold model carries no survival factors in
-    its density).  ``h`` combines them and ``log_h`` is -inf when h is 0.
-    """
-
-    node: int
-    x_terms: dict = field(default_factory=dict)
-    y_terms: dict = field(default_factory=dict)
-    h: float = 1.0
-
-    @property
-    def log_h(self) -> float:
-        return math.log(self.h) if self.h > 0.0 else -math.inf
-
-
-def node_density_terms(c, g, params, delay: DelayMode, v: int,
-                       model: str = "asic") -> NodeDensityTerms:
-    """Decompose h for active node v into its per-parent ingredients."""
-    if v not in c:
-        raise CascadeError(f"node {v} is not active in the cascade")
-    terms = NodeDensityTerms(node=v)
-    tv = c.time_of(v)
-    if tv == c.initial_time:
-        return terms
-    if model == "asic":
-        for u in sorted(effective_parents(g, c, v)):
-            dt = tv - c.time_of(u)
-            p = params.prob(u, v)
-            r = params.rate(delay, u, v)
-            terms.x_terms[u] = x_density_asic(p, r, dt)
-            terms.y_terms[u] = y_survival_asic(p, r, dt)
-        terms.h = h_asic(c, g, params, delay, v)
-    elif model == "aslt":
-        for u in sorted(effective_parents(g, c, v)):
-            dt = tv - c.time_of(u)
-            q = params.weight(g, u, v)
-            r = params.rate(delay, u, v)
-            terms.x_terms[u] = x_density_aslt(q, r, dt)
-        terms.h = h_aslt(c, g, params, delay, v)
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    return terms
 
 
 def x_density_asic(p: float, r: float, dt: float) -> float:

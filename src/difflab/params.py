@@ -33,8 +33,15 @@ class DelayMode(enum.Enum):
     NODE_OVERRIDE = "node-ov"
 
 
+def _number(name, value):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be a number, got {value!r}") from None
+
+
 def _check_prob(name, value, allow_zero=False):
-    value = float(value)
+    value = _number(name, value)
     lower_ok = value >= 0.0 if allow_zero else value > 0.0
     if not (lower_ok and value <= 1.0 and math.isfinite(value)):
         lo = "[0" if allow_zero else "(0"
@@ -43,7 +50,7 @@ def _check_prob(name, value, allow_zero=False):
 
 
 def _check_rate(name, value):
-    value = float(value)
+    value = _number(name, value)
     if not (value > 0.0 and math.isfinite(value)):
         raise ParameterError(f"{name} must be a positive finite rate, got {value}")
     return value

@@ -21,7 +21,8 @@ import random
 from heapq import heappush, heappop
 
 from .cascade import Cascade, CascadeSet
-from .errors import GraphValidationError, SimulationProgressError
+from .errors import (GraphValidationError, ParameterError,
+                     SimulationProgressError)
 from .params import DelayMode
 from .rng import derive_rng
 
@@ -259,10 +260,12 @@ def generate_training_set(g, params, model: str, delay: DelayMode,
 
     Each run starts from a single uniformly random seed; runs shorter than
     ``min_len`` are discarded.  Raises SimulationProgressError if the attempt
-    budget is exhausted before K active nodes are collected.
+    budget is exhausted before K active nodes are collected, and
+    ParameterError unless target_active >= min_len >= 1 and max_attempts >= 1.
     """
-    if min_len < 1 or target_active < min_len:
-        raise SimulationProgressError("need target_active >= min_len >= 1")
+    if min_len < 1 or target_active < min_len or max_attempts < 1:
+        raise ParameterError("need target_active >= min_len >= 1 and "
+                             "max_attempts >= 1")
     tables = _RunTables(g, model, params, delay)
     run = _RUNS[model]
     cascades = []

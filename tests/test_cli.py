@@ -72,6 +72,18 @@ class TestSimulate:
                    "--out", tmp_path / "x.jsonl"])
         assert rc == 3
 
+    @pytest.mark.parametrize("flags", [
+        ["--target-active", "5", "--min-len", "10"],
+        ["--target-active", "5", "--min-len", "0"],
+        ["--target-active", "5", "--min-len", "2", "--max-attempts", "0"]])
+    def test_out_of_range_arguments_exit_1(self, tmp_path, graph_file, capsys,
+                                           flags):
+        rc = _run(["simulate", "--graph", graph_file, "--model", "asic",
+                   "--p", "0.3", "--r", "1.0", "--seed", "5", *flags,
+                   "--out", tmp_path / "x.jsonl"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: need target_active")
+
     def test_missing_required_flag_exits_2(self, tmp_path, graph_file):
         with pytest.raises(SystemExit) as exc:
             _run(["simulate", "--graph", graph_file, "--model", "asic",
@@ -369,6 +381,18 @@ class TestInputErrors:
     @pytest.mark.parametrize("text, part", [
         ('{"model": "asic", "p": 0.2', "not valid JSON: "),
         ('{"p": 0.2}', '"model"'),
+        ('{"model": "asic", "mode": "shared", "p": "abc", "r": 1.0}',
+         "p must be a number, got 'abc'"),
+        ('{"model": "asic", "mode": "shared", "p": [0.5], "r": 1.0}',
+         "p must be a number, got [0.5]"),
+        ('{"model": "asic", "mode": "shared", "p": 2, "r": 1.0}',
+         "p must lie in [0, 1], got 2.0"),
+        ('{"model": "asic", "mode": "per_link", "p": 0.5, "r": {"0,1": 1}}',
+         'per-link "p" must be an object mapping "u,v" links'),
+        ('{"model": "asic", "mode": "per_link", "p": {"0-1": 0.5}, '
+         '"r": {"0,1": 1}}', 'per-link "p" must be an object mapping'),
+        ('{"model": "asic", "mode": "per_link", "p": {"0,1": "x"}, '
+         '"r": {"0,1": 1}}', "p[(0, 1)] must be a number, got 'x'"),
     ])
     def test_malformed_params_file(self, tmp_path, capsys, graph_file, text,
                                    part):
@@ -482,3 +506,26 @@ class TestEndToEndReproducibility:
             outs.append((casc.read_bytes(), params.read_bytes(),
                          infl.read_bytes()))
         assert outs[0] == outs[1]
+
+
+class TestBenchmarkTracerTargets:
+    """The benchmark's tracer wraps module attributes by name; a refactor
+    that drops one would leave traced runs silently without its spans."""
+
+    def test_every_wrapped_attribute_is_callable(self, monkeypatch):
+        import importlib
+        import importlib.util
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        if not path.is_file():
+            pytest.skip("perfbench/ is not in this checkout")
+        spec = importlib.util.spec_from_file_location("_perfbench_tracing",
+                                                      path)
+        tracing = importlib.util.module_from_spec(spec)
+        # Its dataclasses look their module up in ``sys.modules``.
+        monkeypatch.setitem(sys.modules, spec.name, tracing)
+        spec.loader.exec_module(tracing)
+        assert tracing.WRAPPED
+        for module_name, attr, _ in tracing.WRAPPED:
+            module = importlib.import_module(module_name)
+            assert callable(getattr(module, attr, None)), (module_name, attr)

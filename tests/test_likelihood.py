@@ -6,8 +6,8 @@ from scipy import integrate
 
 from difflab import (AsicParams, AsltParams, Cascade, CascadeError,
                      DelayMode, DirectedGraph, g_asic, g_aslt, h_asic,
-                     h_aslt, loglik, node_density_terms, x_density_asic,
-                     x_density_aslt, y_survival_asic)
+                     h_aslt, loglik, x_density_asic, x_density_aslt,
+                     y_survival_asic)
 from difflab.rng import derive_rng
 
 from oracles import (h_asic_sum_of_products, loglik_asic_direct,
@@ -131,32 +131,33 @@ class TestHAsic:
 
 
 class TestNodeDensityTerms:
+    """``h`` against its per-parent ingredients: the arrival densities x
+    and (cascade model only) the not-yet-fired survivals y."""
+
     def test_terms_recombine_to_h(self, two_parent_case):
         g, c = two_parent_case
-        params = AsicParams.shared(0.5, 1.0)
-        terms = node_density_terms(c, g, params, LINK, 2)
-        assert set(terms.x_terms) == {0, 1}
-        assert all(x >= 0 for x in terms.x_terms.values())
-        assert all(0 < y <= 1 for y in terms.y_terms.values())
-        want = sum(terms.x_terms[u] / terms.y_terms[u] for u in (0, 1))
-        want *= terms.y_terms[0] * terms.y_terms[1]
-        assert terms.h == pytest.approx(want, rel=1e-12)
-        assert terms.log_h == pytest.approx(math.log(terms.h), rel=1e-12)
+        p, r = 0.5, 1.0
+        gaps = [c.time_of(2) - c.time_of(u) for u in (0, 1)]
+        x = [x_density_asic(p, r, dt) for dt in gaps]
+        y = [y_survival_asic(p, r, dt) for dt in gaps]
+        assert all(v >= 0 for v in x) and all(0 < v <= 1 for v in y)
+        want = (x[0] / y[0] + x[1] / y[1]) * y[0] * y[1]
+        got = h_asic(c, g, AsicParams.shared(p, r), LINK, 2)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_initial_node_has_unit_density(self, two_parent_case):
         g, c = two_parent_case
-        terms = node_density_terms(c, g, AsicParams.shared(0.5, 1.0),
-                                   LINK, 0)
-        assert terms.h == 1.0 and terms.log_h == 0.0
-        assert not terms.x_terms
+        assert h_asic(c, g, AsicParams.shared(0.5, 1.0), LINK, 0) == 1.0
+        assert h_aslt(c, g, AsltParams.shared(0.6, 1.0), LINK, 0) == 1.0
 
     def test_threshold_model_terms_sum_to_h(self, two_parent_case):
         g, c = two_parent_case
         params = AsltParams.shared(0.6, 1.0)
-        terms = node_density_terms(c, g, params, LINK, 2, model="aslt")
-        assert terms.h == pytest.approx(sum(terms.x_terms.values()),
-                                        rel=1e-12)
-        assert not terms.y_terms
+        # Shared q splits over node 2's two parents.
+        want = sum(x_density_aslt(0.3, 1.0, c.time_of(2) - c.time_of(u))
+                   for u in (0, 1))
+        assert h_aslt(c, g, params, LINK, 2) == pytest.approx(want,
+                                                              rel=1e-12)
 
     def test_single_parent_node_delay_variants_match_link(self, chain2):
         # With one parent and equal rates, all three delay semantics give

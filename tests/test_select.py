@@ -9,6 +9,8 @@ from difflab import (AsicParams, AsltParams, Cascade, DelayMode,
                      erdos_renyi, generate_training_set,
                      preferential_attachment, predictive_score, select_model)
 
+import oracles
+
 
 class TestObservationPeriods:
     def test_median_rule_five_events(self, chain2):
@@ -60,57 +62,50 @@ def _spread_cascade(n_extra=8, gap=0.5):
     return g, Cascade(events, t + 1.0)
 
 
+def _row(tau, node, h, capped=False):
+    """One cutoff row (tau, node, time, h, capped); the held-out event of
+    these stubs happens at tau."""
+    return (tau, node, None if node is None else tau, h, capped)
+
+
 class TestPredictiveScore:
     def test_score_is_mean_of_reported_terms(self):
         g, c = _spread_cascade()
-        periods = build_observation_periods([c])
-        details = []
-        score = predictive_score("asic", g, [c], periods,
-                                 EmConfig(max_iterations=40),
-                                 details=details)
-        terms = [-math.log(d["h"]) for d in details if d["node"] is not None]
+        config = EmConfig(max_iterations=40)
+        rep = select_model(g, [c], config)
+        terms = [-math.log(row["h_asic"]) for row in rep.cutoffs
+                 if row["h_asic"] is not None]
         assert terms
-        assert score == pytest.approx(np.mean(terms), rel=1e-12)
+        assert rep.score_asic == pytest.approx(np.mean(terms), rel=1e-12)
+        assert predictive_score("asic", g, [c],
+                                build_observation_periods([c]),
+                                config) == rep.score_asic
 
-    def test_mean_arithmetic_via_stub(self, monkeypatch):
+    def test_mean_arithmetic_via_stub(self):
         # Two cutoffs with densities e^-1 and e^-3 must average to 2.
-        def fake_terms(model, g, data, periods, config, warm_start=True):
-            yield 1.0, 7, 1.0, math.exp(-1)
-            yield 2.0, 8, 2.0, math.exp(-3)
-        monkeypatch.setattr(select_mod, "_cutoff_terms", fake_terms)
-        score = predictive_score("asic", None, None, None, None)
-        assert score == pytest.approx(2.0, rel=1e-12)
+        rows = [_row(1.0, 7, math.exp(-1)), _row(2.0, 8, math.exp(-3))]
+        assert select_mod._score("asic", rows) == pytest.approx(2.0,
+                                                                rel=1e-12)
 
-    def test_zero_density_gives_infinite_score(self, monkeypatch):
-        def fake_terms(model, g, data, periods, config, warm_start=True):
-            yield 1.0, 7, 1.0, 0.0
-        monkeypatch.setattr(select_mod, "_cutoff_terms", fake_terms)
-        assert predictive_score("asic", None, None, None, None) == math.inf
+    def test_zero_density_gives_infinite_score(self):
+        assert select_mod._score("asic", [_row(1.0, 7, 0.0)]) == math.inf
 
-    def test_skipped_cutoffs_shrink_the_average(self, monkeypatch):
-        def fake_terms(model, g, data, periods, config, warm_start=True):
-            yield 1.0, None, None, None
-            yield 2.0, 7, 2.0, math.exp(-4)
-        monkeypatch.setattr(select_mod, "_cutoff_terms", fake_terms)
-        assert predictive_score("asic", None, None, None,
-                                None) == pytest.approx(4.0)
+    def test_skipped_cutoffs_shrink_the_average(self):
+        rows = [_row(1.0, None, None), _row(2.0, 7, math.exp(-4))]
+        assert select_mod._score("asic", rows) == pytest.approx(4.0)
 
-    def test_no_scored_cutoff_names_the_model(self, monkeypatch):
-        def fake_terms(model, g, data, periods, config, warm_start=True):
-            yield 1.0, None, None, None
-        monkeypatch.setattr(select_mod, "_cutoff_terms", fake_terms)
+    def test_no_scored_cutoff_names_the_model(self):
         with pytest.raises(InsufficientDataError,
                            match="no cutoff could be scored for model aslt"):
-            predictive_score("aslt", None, None, None, None)
+            select_mod._score("aslt", [_row(1.0, None, None)])
 
     def test_cold_start_matches_warm_start_at_tight_tolerance(self):
         g, c = _spread_cascade()
         periods = build_observation_periods([c])
         config = EmConfig(max_iterations=3000, tolerance=1e-12)
-        warm = predictive_score("asic", g, [c], periods, config,
-                                warm_start=True)
-        cold = predictive_score("asic", g, [c], periods, config,
-                                warm_start=False)
+        warm = predictive_score("asic", g, [c], periods, config)
+        cold = select_mod._score("asic", list(oracles.cutoff_terms_per_topic(
+            "asic", g, [c], periods, config, warm_start=False)))
         assert warm == pytest.approx(cold, abs=1e-6)
 
 
@@ -124,33 +119,21 @@ class TestSelectModel:
             assert rep.chosen == "aslt"
         assert rep.j == pytest.approx(abs(rep.score_asic - rep.score_aslt))
 
-    def test_tie_flagged_indeterminate_and_resolved_to_asic(self,
-                                                            monkeypatch):
-        def fake_terms(model, g, data, periods, config, warm_start=True):
-            yield 1.0, 7, 1.0, math.exp(-2)
-        monkeypatch.setattr(select_mod, "_cutoff_terms", fake_terms)
-        monkeypatch.setattr(select_mod, "build_observation_periods",
-                            lambda data: select_mod.ObservationPeriods(
-                                [1.0], 0.5))
-        rep = select_model(None, None, None)
+    def test_tie_flagged_indeterminate_and_resolved_to_asic(self):
+        rows = [_row(1.0, 7, math.exp(-2))]
+        rep = select_mod._report("default", {"asic": rows, "aslt": rows})
         assert rep.indeterminate
         assert rep.chosen == "asic"
         assert rep.j == 0.0
 
-    def test_skipped_counted_per_model(self, monkeypatch):
-        def fake_terms(model, g, data, periods, config, warm_start=True):
-            yield 1.0, None, None, None
-            if model == "asic":
-                yield 2.0, 7, 2.0, math.exp(-2)
-            else:
-                yield 2.0, None, None, None
-            yield 3.0, 8, 3.0, math.exp(-1)
-        monkeypatch.setattr(select_mod, "_cutoff_terms", fake_terms)
-        monkeypatch.setattr(select_mod, "build_observation_periods",
-                            lambda data: select_mod.ObservationPeriods(
-                                [1.0, 2.0, 3.0], 0.5))
-        rep = select_model(None, None, None)
+    def test_skipped_counted_per_model(self):
+        rows = {"asic": [_row(1.0, None, None), _row(2.0, 7, math.exp(-2)),
+                         _row(3.0, 8, math.exp(-1))],
+                "aslt": [_row(1.0, None, None), _row(2.0, None, None),
+                         _row(3.0, 8, math.exp(-1), capped=True)]}
+        rep = select_mod._report("default", rows)
         assert rep.skipped == {"asic": 1, "aslt": 2}
+        assert rep.capped == {"asic": 0, "aslt": 1}
         assert rep.cutoffs[1] == {"tau": 2.0, "node": 7, "time": 2.0,
                                   "h_asic": math.exp(-2), "h_aslt": None}
         assert rep.score_asic == pytest.approx(1.5)

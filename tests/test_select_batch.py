@@ -2,8 +2,9 @@
 
 Pins: a topic's report does not depend on its batch (byte for byte against
 the solo call), results match the earlier per-topic scalar path in
-``oracles`` to rel 1e-9, refit failures stay with their own topic, and the
-capped-refit count follows the driver's flags.
+``oracles`` to rel 1e-9, refit failures stay with their own topic, the
+capped-refit count follows the fits' converged flags, and the held-out density
+taken on the full cascade equals the one on the rebuilt truncated cascade.
 """
 
 import json
@@ -16,7 +17,7 @@ from difflab import (AsicParams, AsltParams, Cascade, DelayMode,
                      DirectedGraph, EmConfig, EstimationError,
                      InsufficientDataError, ParameterError,
                      build_observation_periods, erdos_renyi, fit, fit_batch,
-                     generate_training_set, load_edge_list,
+                     generate_training_set, h_asic, h_aslt, load_edge_list,
                      preferential_attachment, predictive_score, select_model,
                      select_topics)
 from difflab.cli import main
@@ -26,6 +27,8 @@ import oracles
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
+
+from test_em_properties import graphs_and_cascades  # noqa: E402
 
 LINK = DelayMode.LINK
 
@@ -163,6 +166,26 @@ def test_batched_report_equals_solo_report(case, cap):
     batched = select_topics(g, topics, config)
     for topic, data in topics.items():
         assert _same(batched[topic], _solo(g, data, config, topic))
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(graphs_and_cascades(), st.sampled_from([0.05, 0.5, 1.0]),
+                  st.sampled_from([0.3, 1.0, 4.0]))
+def test_heldout_density_on_full_cascade_equals_rebuilt(case, strength, r):
+    # The held-out event is its cascade's first at or past tau, so its
+    # parents active before it are active before tau: h is the same float
+    # on the full cascade as on the window plus the held-out event.
+    g, data = case
+    hypothesis.assume(sum(len(c) for c in data) >= 2)
+    for tau in build_observation_periods(data).cutoffs:
+        t, m, v = min((t, m, v) for m, c in enumerate(data)
+                      for v, t in c.events if t >= tau)
+        kept = [e for e in data[m].events if e[1] < tau]
+        rebuilt = Cascade(kept + [(v, t)], max(t, tau))
+        for h, params in ((h_asic, AsicParams.shared(strength, r)),
+                          (h_aslt, AsltParams.shared(strength, r))):
+            assert repr(h(data[m], g, params, LINK, v)) == repr(
+                h(rebuilt, g, params, LINK, v))
 
 
 class TestAgainstScalarPath:

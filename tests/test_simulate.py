@@ -228,6 +228,15 @@ class TestGenerateTrainingSet:
                                   target_active=2, min_len=2, rng_seed=3,
                                   max_attempts=50)
 
+    @pytest.mark.parametrize("target_active, min_len, max_attempts", [
+        (5, 0, 10), (5, 10, 10), (5, 2, 0)])
+    def test_out_of_range_arguments_are_parameter_errors(
+            self, chain2, target_active, min_len, max_attempts):
+        with pytest.raises(ParameterError, match="target_active >= min_len"):
+            generate_training_set(chain2, AsicParams.shared(0.5, 1.0), "asic",
+                                  DelayMode.LINK, target_active, min_len,
+                                  rng_seed=3, max_attempts=max_attempts)
+
     def test_deterministic_under_seed(self):
         g = DirectedGraph(20, [(i, (i + 1) % 20) for i in range(20)])
         params = AsltParams.shared(0.9, 1.0)
