@@ -18,11 +18,11 @@ __version__ = "0.1.0"
 _logging.getLogger(__name__).addHandler(_logging.NullHandler())
 
 from .cascade import (Cascade, CascadeSet, dumps_cascades, effective_parents,
-                      frontier, loads_cascades, read_cascades, write_cascades)
+                      loads_cascades, read_cascades, write_cascades)
 from .centrality import (RankedList, centrality, rank_by_score,
                          ranking_similarity)
-from .em import (EmConfig, EmTrace, fit, fit_batch, load_params, param_error,
-                 save_params)
+from .em import (EmConfig, EmTrace, fit, fit_batch, load_params, loglik,
+                 param_error, save_params)
 from .errors import (CascadeError, DiffLabError, EdgeListParseError,
                      EstimationError, GraphValidationError,
                      InsufficientDataError, ParameterError,
@@ -33,8 +33,8 @@ from .graph import (DirectedGraph, dumps_edge_list, erdos_renyi,
 from .influence import (CumulativeInfluence, InfluenceTable,
                         cumulative_influence, influence_direct_mc,
                         influence_percolation)
-from .likelihood import (g_asic, g_aslt, h_asic, h_aslt, loglik,
-                         x_density_asic, x_density_aslt, y_survival_asic)
+from .likelihood import (h_asic, h_aslt, x_density_asic, x_density_aslt,
+                         y_survival_asic)
 from .params import (PER_LINK, SHARED, AsicParams, AsltParams, DelayMode)
 from .select import (ObservationPeriods, SelectionReport,
                      build_observation_periods, predictive_score,

@@ -181,17 +181,6 @@ def check_in_graph(g, data) -> None:
                     f"cascade {m} references node {v} outside the graph")
 
 
-def frontier(g, c: Cascade) -> set:
-    """Inactive nodes with at least one active parent."""
-    active = c._times
-    out = set()
-    for u in active:
-        for w in g.out_adj[u]:
-            if w not in active:
-                out.add(w)
-    return out
-
-
 def effective_parents(g, c: Cascade, v: int) -> set:
     """Parents of v that had a chance to influence it in cascade c.
 

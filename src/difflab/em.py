@@ -14,7 +14,9 @@ pair; per-link mode keeps one parameter per edge, and edges never touched by
 the data keep their current values (counted as warnings).
 
 One loop serves both models and both modes, and ``fit`` and ``fit_batch``
-are its only entry points; the E and M passes are private.  In shared mode
+are its only entry points; the E and M passes are private.  ``loglik``,
+the total log-likelihood under link delay, is the first E pass of a
+per-link fit: there is no second evaluation of it.  In shared mode
 it fits a batch of independent problems in lockstep (``fit_batch``;
 ``fit`` is the batch of one): one statistics build over all their
 cascades, theta as one (strength, rate) pair per problem, and each
@@ -50,6 +52,8 @@ _log = logging.getLogger(__name__)
 PROB_FLOOR = 1e-12
 RATE_FLOOR = 1e-12
 RATE_CEIL = 1e12
+# A zero or non-finite term turns into a -inf or NaN total, not a warning.
+_QUIET = dict(divide="ignore", over="ignore", invalid="ignore")
 
 
 @dataclass
@@ -617,6 +621,40 @@ def _to_params(g, model, theta):
                         dict(zip(g.edges, r.tolist())))
 
 
+def loglik(model: str, g, params, delay: DelayMode, data,
+           horizon_mode: str = "infinite") -> float:
+    """Total log-likelihood of a cascade set under link delay.
+
+    This is the first E pass of a per-link ``fit`` at ``params``, spread
+    over ``g.edges`` (shared parameters too; per-link ones must cover every
+    edge).  ``horizon_mode`` is ``fit``'s.  A factor of 0, such as an
+    activation that no earlier active parent could have caused, gives
+    -inf.  The node-delay variants have densities (``h_asic``,
+    ``h_aslt``) but no total here.
+    """
+    _check_args(model, horizon_mode)
+    if delay is not DelayMode.LINK:
+        raise ParameterError(
+            "the total log-likelihood is only defined for link delay")
+    strength = (params.prob if model == "asic"
+                else partial(params.weight, g))
+    theta = (np.array([strength(u, v) for u, v in g.edges], dtype=np.float64),
+             np.array([params.rate(delay, u, v) for u, v in g.edges],
+                      dtype=np.float64))
+    try:
+        stats = _Stats(g, data, model)
+    except _ZeroProbability:
+        return -math.inf
+    at = _Links(stats)
+    with np.errstate(**_QUIET):
+        if model == "asic":
+            _, ll, _ = _asic_e(stats, at, theta, horizon_mode == "finite")
+        else:
+            _, ll, _ = _aslt_e_per_link(stats, at, theta)
+    # NaN is a survival of 0 times an infinite ratio: a factor of 0.
+    return -math.inf if math.isnan(ll[0]) else float(ll[0])
+
+
 # -- fitting loop ---------------------------------------------------------------
 
 
@@ -670,6 +708,7 @@ def fit_batch(model: str, g, problems, config: EmConfig | None = None,
     Returns, per problem, ``(params, EmTrace)`` or the ``EstimationError``
     that stopped it (a zero-probability activation, no non-initial
     activation, a density underflow or a non-finite log-likelihood).
+    Problems that reach the cap share one warning, which counts them.
     """
     _check_args(model, horizon_mode)
     if config is None:
@@ -763,7 +802,7 @@ def _fit(model, g, problems, config, starts, finite):
     converged = np.zeros(n, dtype=bool)
     iterations = np.zeros(n, dtype=np.intp)
     lls, thetas = [], []
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(**_QUIET):
         for it in range(config.max_iterations + 1):
             terms, ll, dens = e_pass(stats, at, theta)
             lls.append(ll)
@@ -791,11 +830,14 @@ def _fit(model, g, problems, config, starts, finite):
             theta = new
             last = live & (delta <= config.tolerance)
             if it + 1 == config.max_iterations:
-                for b in np.flatnonzero(live & ~last).tolist():
+                capped = live & ~last
+                if capped.any():
                     _log.warning(
-                        "%s %s fit stopped unconverged at max_iterations=%d: "
-                        "last step %.3g > tolerance %.3g", model, config.mode,
-                        config.max_iterations, delta[b], config.tolerance)
+                        "%d of %d %s %s fits stopped unconverged at "
+                        "max_iterations=%d: largest last step %.3g > "
+                        "tolerance %.3g", np.count_nonzero(capped), n, model,
+                        config.mode, config.max_iterations,
+                        delta[capped].max(), config.tolerance)
                 converged |= last
                 last = live
             elif np.count_nonzero(last):

@@ -1,29 +1,24 @@
-"""Exact per-node densities, survival factors, and total log-likelihood.
+"""Exact per-node activation densities under all three delay semantics.
 
 For an observed cascade, each active node contributes the probability density
-``h`` of activating exactly when it did, and each observed non-activation
-contributes a survival probability ``g``:
+``h`` of activating exactly when it did: ``h_asic`` for the independent-cascade
+model and ``h_aslt`` for the linear-threshold model, from the per-parent
+arrival densities ``x`` and (cascade model) not-yet-fired survivals ``y``.
+A node activated at the cascade's initial time has density 1, and an
+activation that no parent could have caused has density 0.
 
-* independent-cascade model: active nodes contribute ``h * g`` where ``g``
-  covers their still-inactive children;
-* linear-threshold model: active nodes contribute ``h`` and frontier nodes
-  (inactive with an active parent) contribute ``g``.
-
-A node activated at the cascade's initial time contributes density 1.  An
-activation that no parent could have caused has density 0; the total
-log-likelihood is then ``-inf`` and the offending events are reported.
+The survival factors of observed non-activations and the total
+log-likelihood are formed for link delay only, by the EM E passes
+(``em.loglik``).
 """
 
 from __future__ import annotations
 
 import math
 
-from .cascade import check_in_graph, effective_parents, frontier
+from .cascade import effective_parents
 from .errors import CascadeError
 from .params import DelayMode
-
-INFINITE = "infinite"
-FINITE = "finite"
 
 
 def x_density_asic(p: float, r: float, dt: float) -> float:
@@ -51,13 +46,6 @@ def x_density_aslt(q: float, r: float, dt: float) -> float:
     return q * r * math.exp(-r * dt)
 
 
-def _sorted_effective_parents(c, v, parents):
-    tv = c.time_of(v)
-    out = [(c.time_of(u), u) for u in parents]
-    out.sort()
-    return tv, out
-
-
 def h_asic(c, g, params, delay: DelayMode, v: int) -> float:
     """Activation density of active node v under the cascade model.
 
@@ -76,7 +64,7 @@ def h_asic(c, g, params, delay: DelayMode, v: int) -> float:
     parents = effective_parents(g, c, v)
     if not parents:
         return 0.0
-    _, ordered = _sorted_effective_parents(c, v, parents)
+    ordered = sorted((c.time_of(u), u) for u in parents)
     if delay is DelayMode.NODE_NON_OVERRIDE:
         # Parents in activation order; the j-th term needs every earlier
         # parent to have failed its one chance.
@@ -102,32 +90,6 @@ def h_asic(c, g, params, delay: DelayMode, v: int) -> float:
     return prod_y * sum_ratio
 
 
-def g_asic(c, g, params, v: int, horizon_mode: str = INFINITE,
-           delay: DelayMode = DelayMode.LINK) -> float:
-    """Probability that active node v failed to activate its inactive children.
-
-    Infinite-horizon mode treats the observation window as long enough that
-    a pending success would already have landed, so each inactive child
-    contributes (1 - p).  Finite mode keeps the within-window survival term.
-    """
-    if v not in c:
-        raise CascadeError(f"node {v} is not active in the cascade")
-    tv = c.time_of(v)
-    prod = 1.0
-    for w in g.out_adj[v]:
-        if w in c:
-            continue
-        p = params.prob(v, w)
-        if horizon_mode == INFINITE:
-            prod *= (1.0 - p)
-        elif horizon_mode == FINITE:
-            rvw = params.rate(delay, v, w)
-            prod *= y_survival_asic(p, rvw, c.horizon - tv)
-        else:
-            raise ValueError(f"unknown horizon mode {horizon_mode!r}")
-    return prod
-
-
 def h_aslt(c, g, params, delay: DelayMode, v: int) -> float:
     """Activation density of active node v under the threshold model.
 
@@ -145,7 +107,7 @@ def h_aslt(c, g, params, delay: DelayMode, v: int) -> float:
     parents = effective_parents(g, c, v)
     if not parents:
         return 0.0
-    _, ordered = _sorted_effective_parents(c, v, parents)
+    ordered = sorted((c.time_of(u), u) for u in parents)
     if delay is DelayMode.NODE_OVERRIDE:
         total = 0.0
         n = len(ordered)
@@ -165,68 +127,3 @@ def h_aslt(c, g, params, delay: DelayMode, v: int) -> float:
         ruv = params.rate(delay, u, v)
         total += x_density_aslt(q, ruv, tv - tu)
     return total
-
-
-def g_aslt(c, g, params, v: int, delay: DelayMode = DelayMode.LINK) -> float:
-    """Probability that frontier node v stayed inactive through the window.
-
-    The node's threshold exceeded the slack weight plus the weights of
-    parents that never activated, plus each active parent's weight whose
-    arrival is still pending at the horizon.
-    """
-    if v in c:
-        raise CascadeError(f"node {v} is active, not a frontier node")
-    eff = effective_parents(g, c, v)  # raises if v has no active parent
-    total = params.slack(g, v)
-    for u in g.in_adj[v]:
-        q = params.weight(g, u, v)
-        if u in eff:
-            ruv = params.rate(delay, u, v)
-            total += q * math.exp(-ruv * (c.horizon - c.time_of(u)))
-        else:
-            total += q
-    return total
-
-
-def loglik(model: str, g, params, delay: DelayMode, data,
-           horizon_mode: str = INFINITE, diagnostics=None) -> float:
-    """Total log-likelihood of a cascade set under the given model.
-
-    Returns -inf if any factor is exactly zero; when a ``diagnostics`` list
-    is supplied, each zero factor is reported as (cascade_index, node, kind).
-    """
-    if model not in ("asic", "aslt"):
-        raise ValueError(f"unknown model {model!r}")
-    check_in_graph(g, data)
-    total = 0.0
-    dead = False
-    for m, c in enumerate(data):
-        if model == "asic":
-            for v, _ in c.events:
-                h = h_asic(c, g, params, delay, v)
-                gv = g_asic(c, g, params, v, horizon_mode, delay)
-                if h == 0.0 or gv == 0.0:
-                    dead = True
-                    if diagnostics is not None:
-                        kind = "h" if h == 0.0 else "g"
-                        diagnostics.append((m, v, kind))
-                    continue
-                total += math.log(h) + math.log(gv)
-        else:
-            for v, _ in c.events:
-                h = h_aslt(c, g, params, delay, v)
-                if h == 0.0:
-                    dead = True
-                    if diagnostics is not None:
-                        diagnostics.append((m, v, "h"))
-                    continue
-                total += math.log(h)
-            for v in sorted(frontier(g, c)):
-                gv = g_aslt(c, g, params, v, delay)
-                if gv == 0.0:
-                    dead = True
-                    if diagnostics is not None:
-                        diagnostics.append((m, v, "g"))
-                    continue
-                total += math.log(gv)
-    return -math.inf if dead else total

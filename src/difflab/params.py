@@ -34,10 +34,14 @@ class DelayMode(enum.Enum):
 
 
 def _number(name, value):
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{name} must be a number, got {value!r}") from None
+    """``value`` as a float; text and booleans, which ``float`` would
+    convert, are refused too."""
+    if not isinstance(value, (str, bytes, bool)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ParameterError(f"{name} must be a number, got {value!r}")
 
 
 def _check_prob(name, value, allow_zero=False):

@@ -138,6 +138,34 @@ def loglik_aslt_direct(parents, children, events_list, horizons,
     return total
 
 
+def loglik_direct(model, g, params, data, horizon_mode="infinite"):
+    """The direct log-likelihood of ``data`` (a list of cascades) on graph
+    ``g`` under link-delay ``params`` of either model.  Only the parameter
+    accessors (``prob``, ``weight``, ``slack``, ``rate``) are the
+    package's."""
+    from difflab import DelayMode
+    parents = {v: list(g.in_adj[v]) for v in range(g.node_count)}
+    children = {v: list(g.out_adj[v]) for v in range(g.node_count)}
+    events = [dict(c.events) for c in data]
+    horizons = [c.horizon for c in data]
+
+    def r_of(u, v):
+        return params.rate(DelayMode.LINK, u, v)
+
+    if model == "asic":
+        return loglik_asic_direct(parents, children, events, params.prob,
+                                  r_of, horizon_mode, horizons)
+    return loglik_aslt_direct(parents, children, events, horizons,
+                              lambda u, v: params.weight(g, u, v),
+                              lambda v: params.slack(g, v), r_of)
+
+
+def frontier(g, c):
+    """Inactive nodes of cascade ``c`` with at least one active parent."""
+    times = dict(c.events)
+    return {w for u in times for w in g.out_adj[u] if w not in times}
+
+
 # -- exhaustive live-edge expectation ----------------------------------------
 
 

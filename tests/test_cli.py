@@ -393,6 +393,10 @@ class TestInputErrors:
          '"r": {"0,1": 1}}', 'per-link "p" must be an object mapping'),
         ('{"model": "asic", "mode": "per_link", "p": {"0,1": "x"}, '
          '"r": {"0,1": 1}}', "p[(0, 1)] must be a number, got 'x'"),
+        ('{"model": "asic", "mode": "shared", "p": "0.5", "r": 1.0}',
+         "p must be a number, got '0.5'"),
+        ('{"model": "asic", "mode": "shared", "p": 0.5, "r": true}',
+         "r must be a number, got True"),
     ])
     def test_malformed_params_file(self, tmp_path, capsys, graph_file, text,
                                    part):

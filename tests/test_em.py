@@ -9,7 +9,7 @@ from difflab import (AsicParams, AsltParams, Cascade, DelayMode,
                      erdos_renyi, fit, fit_batch, generate_training_set,
                      load_params, loglik, param_error,
                      preferential_attachment, save_params)
-from difflab.cascade import effective_parents, frontier
+from difflab.cascade import effective_parents
 from difflab.em import (_Links, _Problems, _Stats, _asic_e, _asic_m_per_link,
                         _asic_m_shared, _aslt_e_per_link, _aslt_e_shared,
                         _aslt_m_per_link, _aslt_m_shared)
@@ -18,7 +18,8 @@ from difflab.rng import derive_rng
 
 from oracles import (ZeroProbabilityEvent, aslt_e_per_link_iblock,
                      aslt_m_per_link_iblock, em_stats_loop,
-                     fit_aslt_per_link_iblock, random_consistent_cascades)
+                     fit_aslt_per_link_iblock, frontier, loglik_direct,
+                     random_consistent_cascades)
 
 LINK = DelayMode.LINK
 
@@ -568,6 +569,19 @@ class TestFitContract:
         assert f"{model} {mode} fit" in text
         assert "max_iterations=2" in text and "last step" in text
 
+    def test_capped_batch_logs_one_warning(self, caplog):
+        g, params, data = _instance(6, "asic")
+        data = list(data)
+        with caplog.at_level(logging.WARNING, logger="difflab"):
+            results = fit_batch("asic", g, [data, data[1:], data[:-1]],
+                                EmConfig(max_iterations=2, tolerance=1e-12))
+        assert not any(trace.converged for _, trace in results)
+        records = [r for r in caplog.records if r.name.startswith("difflab")]
+        assert len(records) == 1
+        text = records[0].getMessage()
+        assert text.startswith("3 of 3 asic shared fits stopped unconverged "
+                               "at max_iterations=2: largest last step ")
+
     def test_converged_fit_logs_nothing(self, caplog):
         g, params, data = _instance(5, "asic")
         with caplog.at_level(logging.DEBUG, logger="difflab"):
@@ -592,8 +606,8 @@ class TestFitContract:
 
     @pytest.mark.parametrize("model", ["asic", "aslt"])
     def test_trace_loglik_matches_likelihood_module(self, model):
-        # The vectorized internal objective must equal the scalar reference
-        # evaluation at every recorded iterate.
+        # The vectorized internal objective must equal the direct
+        # transcription at every recorded iterate.
         g, params, data = _instance(7, model, n=15, target=40)
         config = EmConfig(max_iterations=5, mode=SHARED)
         fitted, trace = fit(model, g, data, config)
@@ -602,7 +616,7 @@ class TestFitContract:
                 snap_params = AsicParams.shared(*snap)
             else:
                 snap_params = AsltParams.shared(*snap)
-            want = loglik(model, g, snap_params, LINK, data)
+            want = loglik_direct(model, g, snap_params, data)
             assert ll == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("model", ["asic", "aslt"])
@@ -619,7 +633,7 @@ class TestFitContract:
             else:
                 snap_params = AsltParams.per_link(
                     {e: max(val, 1e-12) for e, val in s_map.items()}, r_map)
-            want = loglik(model, g, snap_params, LINK, data)
+            want = loglik_direct(model, g, snap_params, data)
             assert ll == pytest.approx(want, rel=1e-10)
 
 
@@ -641,7 +655,6 @@ class TestMonotonicity:
         # Censored windows: cut every cascade at a horizon that truncates
         # some pending activity, then fit with the within-window survival
         # factors and check the internal objective against the reference.
-        from difflab import Cascade, loglik
         for seed in range(5):
             g, params, data = _instance((seed, "fin", mode), "asic", n=18,
                                         target=60)
@@ -657,8 +670,7 @@ class TestMonotonicity:
             ll = np.asarray(trace.loglik)
             drops = np.diff(ll) < -1e-9 * np.abs(ll[:-1])
             assert not drops.any(), f"seed {seed}: decrease at {ll}"
-            want = loglik("asic", g, fitted, DelayMode.LINK, censored,
-                          horizon_mode="finite")
+            want = loglik_direct("asic", g, fitted, censored, "finite")
             assert trace.loglik[-1] == pytest.approx(want, rel=1e-10)
 
 
@@ -765,3 +777,15 @@ class TestParamsIO:
         assert model == "aslt"
         assert params.q == orig.q
         assert params.r == orig.r
+
+    @pytest.mark.parametrize("cls", [AsicParams, AsltParams])
+    def test_text_and_booleans_are_not_numbers(self, cls):
+        # float() would take each of them: "0.5" as 0.5 and True as 1.
+        for bad in ("0.5", b"0.5", True):
+            for args in ((bad, 1.0), (0.5, bad)):
+                with pytest.raises(ParameterError, match="must be a number"):
+                    cls.shared(*args)
+            with pytest.raises(ParameterError, match="must be a number"):
+                cls.per_link({(0, 1): bad}, {(0, 1): 1.0})
+        params = cls.shared(np.float32(0.5), np.int64(2))
+        assert params.r == 2.0 and type(params.r) is float

@@ -1,6 +1,6 @@
 """Property tests on digraphs of at most 9 nodes: the EM statistics builder
 against the reference loop, the first log-likelihood of a fit against the
-likelihood module, the per-link threshold-model E and M passes against the
+direct transcription, the per-link threshold-model E and M passes against the
 passes that list every never-active parent, and batched shared-mode fits
 against solo fits."""
 
@@ -13,13 +13,13 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from difflab import (AsicParams, AsltParams, Cascade,  # noqa: E402
-                     DelayMode, DirectedGraph, EmConfig, EstimationError, fit,
-                     fit_batch, loglik)
+                     DirectedGraph, EmConfig, EstimationError, fit,
+                     fit_batch)
 from difflab.em import (_Links, _Stats, _aslt_e_per_link,  # noqa: E402
                         _aslt_m_per_link)
 
 from oracles import (aslt_e_per_link_iblock,  # noqa: E402
-                     aslt_m_per_link_iblock, em_stats_loop,
+                     aslt_m_per_link_iblock, em_stats_loop, loglik_direct,
                      random_consistent_cascades)
 from test_em import assert_stats_match_loop  # noqa: E402
 
@@ -62,7 +62,7 @@ def test_stats_match_loop(case):
                   st.sampled_from(["infinite", "finite"]))
 def test_first_fit_loglik_equals_loglik(case, model, mode, horizon_mode):
     """The vectorised log-likelihood at a fit's start parameters equals the
-    likelihood module's; a fit that fails has data of likelihood 0 or
+    direct transcription's; a fit that fails has data of likelihood 0 or
     nothing to fit."""
     g, data = case
     config = EmConfig(max_iterations=1, mode=mode)
@@ -72,8 +72,7 @@ def test_first_fit_loglik_equals_loglik(case, model, mode, horizon_mode):
     try:
         _, trace = fit(model, g, data, config, horizon_mode=horizon_mode)
     except EstimationError:
-        want = loglik(model, g, start, DelayMode.LINK, data,
-                      horizon_mode=horizon_mode)
+        want = loglik_direct(model, g, start, data, horizon_mode)
         assert want == -np.inf or all(
             t == c.initial_time for c in data for _, t in c.events)
         return
@@ -81,8 +80,7 @@ def test_first_fit_loglik_equals_loglik(case, model, mode, horizon_mode):
         strength, rate = trace.params_history[0]
         start = cls.per_link(dict(zip(g.edges, strength.tolist())),
                              dict(zip(g.edges, rate.tolist())))
-    want = loglik(model, g, start, DelayMode.LINK, data,
-                  horizon_mode=horizon_mode)
+    want = loglik_direct(model, g, start, data, horizon_mode)
     # Each cascade has at most one log term per event and one per edge;
     # terms that match to 1e-12 each do not give a relative bound on a
     # total near 0.

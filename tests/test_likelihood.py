@@ -5,9 +5,8 @@ import pytest
 from scipy import integrate
 
 from difflab import (AsicParams, AsltParams, Cascade, CascadeError,
-                     DelayMode, DirectedGraph, g_asic, g_aslt, h_asic,
-                     h_aslt, loglik, x_density_asic, x_density_aslt,
-                     y_survival_asic)
+                     DelayMode, DirectedGraph, ParameterError, h_asic, h_aslt,
+                     loglik, x_density_asic, x_density_aslt, y_survival_asic)
 from difflab.rng import derive_rng
 
 from oracles import (h_asic_sum_of_products, loglik_asic_direct,
@@ -176,26 +175,36 @@ class TestNodeDensityTerms:
 
 
 class TestGAsic:
+    """The survival factor of an active node's inactive children, as it
+    enters ``loglik``: one cascade, minus the log-densities of its
+    non-initial activations."""
+
     def test_no_inactive_children_gives_one(self, chain2):
         c = Cascade([(0, 0.0), (1, 1.0)], 10.0)
         params = AsicParams.shared(0.5, 1.0)
-        assert g_asic(c, chain2, params, 1) == 1.0
+        assert loglik("asic", chain2, params, LINK, [c]) == pytest.approx(
+            math.log(h_asic(c, chain2, params, LINK, 1)), rel=1e-12)
 
     def test_two_inactive_children_infinite_mode(self, star4):
         c = Cascade([(0, 0.0), (1, 1.0)], 10.0)
         params = AsicParams.shared(0.5, 1.0)
-        assert g_asic(c, star4, params, 0) == pytest.approx(0.25, rel=1e-12)
+        got = (loglik("asic", star4, params, LINK, [c])
+               - math.log(h_asic(c, star4, params, LINK, 1)))
+        assert got == pytest.approx(math.log(0.25), rel=1e-12)
 
     def test_finite_mode_value(self, chain2):
         c = Cascade([(0, 0.0)], 2.0)
         params = AsicParams.shared(0.5, 1.0)
-        assert g_asic(c, chain2, params, 0, "finite") == pytest.approx(
-            0.5676676416183064, rel=1e-12)
+        assert loglik("asic", chain2, params, LINK, [c],
+                      "finite") == pytest.approx(
+            math.log(0.5676676416183064), rel=1e-12)
 
     def test_finite_converges_to_infinite(self, chain2):
         params = AsicParams.shared(0.5, 2.0)
-        inf_val = g_asic(Cascade([(0, 0.0)], 5.0), chain2, params, 0)
-        vals = [g_asic(Cascade([(0, 0.0)], t), chain2, params, 0, "finite")
+        inf_val = math.exp(loglik("asic", chain2, params, LINK,
+                                  [Cascade([(0, 0.0)], 5.0)]))
+        vals = [math.exp(loglik("asic", chain2, params, LINK,
+                                [Cascade([(0, 0.0)], t)], "finite"))
                 for t in (10 / 2.0, 100 / 2.0)]
         assert vals[0] > vals[1] >= inf_val
         assert vals[1] == pytest.approx(inf_val, abs=1e-12)
@@ -238,6 +247,9 @@ class TestHAslt:
 
 
 class TestGAslt:
+    """The survival factor of a frontier node, as it enters ``loglik``:
+    one seed-only cascade, whose seed has density 1."""
+
     def test_frontier_value(self):
         # Parents 0 (active at 0) and 1 (never active); equal weights 0.3,
         # slack 0.4, window [0, 2].
@@ -245,29 +257,33 @@ class TestGAslt:
         c = Cascade([(0, 0.0)], 2.0)
         params = AsltParams.per_link(
             {(0, 2): 0.3, (1, 2): 0.3}, {(0, 2): 1.0, (1, 2): 1.0})
-        assert g_aslt(c, g, params, 2) == pytest.approx(
-            0.7406005849709838, rel=1e-12)
+        assert loglik("aslt", g, params, LINK, [c]) == pytest.approx(
+            math.log(0.7406005849709838), rel=1e-12)
 
     def test_active_node_rejected(self):
+        # An active node has its density and no survival factor.
         g = DirectedGraph(2, [(0, 1)])
         c = Cascade([(0, 0.0), (1, 1.0)], 2.0)
         params = AsltParams.shared(0.5, 1.0)
-        with pytest.raises(CascadeError):
-            g_aslt(c, g, params, 1)
+        assert loglik("aslt", g, params, LINK, [c]) == pytest.approx(
+            math.log(h_aslt(c, g, params, LINK, 1)), rel=1e-12)
 
     def test_node_without_active_parent_rejected(self):
+        # Node 2 has no active parent: only frontier node 1 has a factor,
+        # slack 0.5 plus parent 0's pending and parent 2's idle weight.
         g = DirectedGraph(3, [(0, 1), (2, 1)])
         c = Cascade([(0, 0.0)], 2.0)
         params = AsltParams.shared(0.5, 1.0)
-        with pytest.raises(CascadeError):
-            g_aslt(c, g, params, 2)
+        assert loglik("aslt", g, params, LINK, [c]) == pytest.approx(
+            math.log(0.5 + 0.25 * math.exp(-2.0) + 0.25), rel=1e-12)
 
     def test_long_window_leaves_slack_plus_inactive_weights(self):
         g = DirectedGraph(3, [(0, 2), (1, 2)])
         c = Cascade([(0, 0.0)], 1e9)
         params = AsltParams.per_link(
             {(0, 2): 0.3, (1, 2): 0.3}, {(0, 2): 1.0, (1, 2): 1.0})
-        assert g_aslt(c, g, params, 2) == pytest.approx(0.7, abs=1e-12)
+        assert math.exp(loglik("aslt", g, params, LINK, [c])) == pytest.approx(
+            0.7, abs=1e-12)
 
 
 class TestLoglik:
@@ -294,11 +310,39 @@ class TestLoglik:
     def test_impossible_event_gives_minus_inf_with_diagnostics(self):
         g = DirectedGraph(3, [(0, 1)])
         c = Cascade([(0, 0.0), (2, 1.0)], 5.0)
-        params = AsicParams.shared(0.5, 1.0)
-        diag = []
-        assert loglik("asic", g, params, LINK, [c],
-                      diagnostics=diag) == -math.inf
-        assert diag == [(0, 2, "h")]
+        for model, params in (("asic", AsicParams.shared(0.5, 1.0)),
+                              ("aslt", AsltParams.shared(0.5, 1.0))):
+            assert loglik(model, g, params, LINK, [c]) == -math.inf
+
+    def test_zero_factors_give_minus_inf(self, chain2):
+        # p = 1 leaves no failure mass, and with exp(-r dt) underflowed
+        # no survival of the one parent either.
+        seed_only = Cascade([(0, 0.0)], 5.0)
+        late = Cascade([(0, 0.0), (1, 1000.0)], 1001.0)
+        sure = AsicParams.shared(1.0, 1.0)
+        assert loglik("asic", chain2, sure, LINK, [seed_only]) == -math.inf
+        assert loglik("asic", chain2, sure, LINK, [late]) == -math.inf
+        assert loglik("aslt", chain2, AsltParams.shared(1.0, 1.0), LINK,
+                      [late]) == -math.inf
+
+    @pytest.mark.parametrize("model", ["asic", "aslt"])
+    @pytest.mark.parametrize("delay", [NODE_NO, NODE_OV])
+    def test_node_delay_refused(self, two_parent_case, model, delay):
+        g, c = two_parent_case
+        params = (AsicParams.shared(0.5, 1.0) if model == "asic"
+                  else AsltParams.shared(0.5, 1.0))
+        with pytest.raises(ParameterError, match="link delay"):
+            loglik(model, g, params, delay, [c])
+
+    @pytest.mark.parametrize("model", ["asic", "aslt"])
+    def test_per_link_params_must_cover_every_edge(self, model):
+        # The data touch only 0 -> 1; the map misses 2 -> 3.
+        g = DirectedGraph(4, [(0, 1), (2, 3)])
+        c = Cascade([(0, 0.0), (1, 1.0)], 2.0)
+        cls = AsicParams if model == "asic" else AsltParams
+        params = cls.per_link({(0, 1): 0.5}, {(0, 1): 1.0, (2, 3): 1.0})
+        with pytest.raises(ParameterError, match=r"link \(2, 3\)"):
+            loglik(model, g, params, LINK, [c])
 
     def test_out_of_range_node_rejected(self, chain2):
         c = Cascade([(0, 0.0), (5, 1.0)], 5.0)
