@@ -262,7 +262,7 @@ def _cmd_rank(parser, args):
 
 
 def _read_ranked_csv(path):
-    order = []
+    order, seen = [], set()
     with _reading(path), open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("rank,"):
@@ -272,16 +272,23 @@ def _read_ranked_csv(path):
             if not line:
                 continue
             try:
-                order.append(int(line.split(",")[1]))
+                node = int(line.split(",")[1])
             except (IndexError, ValueError):
                 raise DiffLabError(
                     f"{path}: line {lineno}: expected 'rank,node,score' with "
                     f"an integer node, got {line!r}") from None
+            if node in seen:
+                raise DiffLabError(
+                    f"{path}: line {lineno}: node {node} listed twice")
+            seen.add(node)
+            order.append(node)
     return order
 
 
 def _cmd_compare_rank(parser, args):
     started = time.monotonic()
+    if args.k < 1:
+        parser.error("--k must be at least 1")
     truth = _read_ranked_csv(args.truth)
     cand = _read_ranked_csv(args.candidate)
     kmax = min(args.k, len(truth), len(cand))

@@ -11,7 +11,7 @@ from difflab.centrality import (betweenness_scores, closeness_scores,
 from difflab.rng import derive_rng
 
 from oracles import (betweenness_bruteforce, betweenness_dense,
-                     closeness_dense)
+                     closeness_bfs, closeness_dense)
 
 # The package re-exports the function ``centrality`` under the module's name.
 centrality_module = importlib.import_module("difflab.centrality")
@@ -155,6 +155,52 @@ class TestBlockSize:
                closeness_scores(g))
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+def _two_parts(n):
+    """Two random parts with no link between them, and two isolated nodes."""
+    half = (n - 2) // 2
+    first = erdos_renyi(half, 4 / half, 314).edges
+    second = erdos_renyi(n - 2 - half, 4 / half, 315).edges
+    return DirectedGraph(n, list(first)
+                         + [(half + u, half + v) for u, v in second])
+
+
+WORD_SHAPES = {
+    "er": lambda n: erdos_renyi(n, 3 / n, 316 + n),
+    "pa": lambda n: preferential_attachment(n, 2, 317 + n),
+    "disconnected": _two_parts,
+    "edgeless": lambda n: DirectedGraph(n, []),
+}
+
+
+class TestClosenessWords:
+    """Closeness across 64-target word boundaries against a per-source BFS."""
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("shape", WORD_SHAPES)
+    def test_matches_per_source_bfs(self, shape, n):
+        g = WORD_SHAPES[shape](n)
+        assert np.array_equal(closeness_scores(g),
+                              closeness_bfs(n, g.edges))
+
+    def test_single_node(self):
+        assert np.array_equal(closeness_scores(DirectedGraph(1, [])),
+                              closeness_bfs(1, []))
+
+    @pytest.mark.parametrize("shape", ["er", "pa", "disconnected"])
+    @pytest.mark.parametrize("words", [1, 2])
+    def test_scores_do_not_depend_on_word_block(self, monkeypatch, shape,
+                                                words):
+        g = WORD_SHAPES[shape](129)
+        want = closeness_scores(g)
+        per_word = 8 * (3 * g.node_count + g.edge_count)
+        monkeypatch.setattr(centrality_module, "_BLOCK_BYTES",
+                            words * per_word)
+        blocks = centrality_module._word_blocks(g)
+        assert len(blocks) == -(-3 // words)
+        assert max(hi - lo for lo, hi in blocks) == words
+        assert np.array_equal(closeness_scores(g), want)
 
 
 def _nx_graph(nx, g):

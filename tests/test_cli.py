@@ -362,6 +362,38 @@ class TestInputErrors:
                    "--k", "2", "--out", tmp_path / "sim.csv"])
         self._assert_error(capsys, rc, f"{bad}: line 3:", repr(row))
 
+    def test_compare_rank_repeated_node(self, tmp_path, capsys):
+        truth, cand = tmp_path / "truth.csv", tmp_path / "cand.csv"
+        truth.write_text("rank,node,score\n1,5,3.0\n2,6,2.0\n3,7,1.0\n")
+        cand.write_text("rank,node,score\n1,5,3.0\n2,5,2.0\n3,7,1.0\n")
+        out = tmp_path / "sim.csv"
+        rc = _run(["compare-rank", "--truth", truth, "--candidate", cand,
+                   "--k", "3", "--out", out])
+        self._assert_error(capsys, rc, f"{cand}: line 3: node 5 listed twice")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_compare_rank_k_below_one(self, tmp_path, capsys, k):
+        ranked = tmp_path / "ranked.csv"
+        ranked.write_text("rank,node,score\n1,5,3.0\n2,6,2.0\n")
+        with pytest.raises(SystemExit) as exc:
+            _run(["compare-rank", "--truth", ranked, "--candidate", ranked,
+                  "--k", k, "--out", tmp_path / "sim.csv"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--k must be at least 1" in err
+        assert "rankings are empty" not in err
+
+    def test_compare_rank_empty_ranking(self, tmp_path, capsys):
+        ranked, empty = tmp_path / "ranked.csv", tmp_path / "empty.csv"
+        ranked.write_text("rank,node,score\n1,5,3.0\n")
+        empty.write_text("rank,node,score\n")
+        with pytest.raises(SystemExit) as exc:
+            _run(["compare-rank", "--truth", ranked, "--candidate", empty,
+                  "--k", "3", "--out", tmp_path / "sim.csv"])
+        assert exc.value.code == 2
+        assert "rankings are empty" in capsys.readouterr().err
+
     def test_missing_graph_file(self, tmp_path, capsys):
         missing = tmp_path / "nosuch.txt"
         rc = _run(["simulate", "--graph", missing, "--model", "asic",
@@ -425,7 +457,7 @@ class TestInputErrors:
 
 
 class TestScipyLoadedOnlyBySparseSolvers:
-    """Only percolation and the sparse centralities import scipy."""
+    """Only percolation, betweenness and pagerank import scipy."""
 
     _SCRIPT = """
 import json, sys
@@ -464,6 +496,8 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
                                            tmp_path / "mc.csv")],
             ["rank", "--graph", graph_file, "--method", "outdegree",
              "--out", ranked],
+            ["rank", "--graph", graph_file, "--method", "closeness",
+             "--out", tmp_path / "close.csv"],
             ["compare-rank", "--truth", ranked, "--candidate", ranked,
              "--k", "5", "--out", tmp_path / "sim.csv"],
         ]
