@@ -35,7 +35,8 @@ from .influence import (CumulativeInfluence, InfluenceTable,
                         influence_percolation)
 from .likelihood import (h_asic, h_aslt, x_density_asic, x_density_aslt,
                          y_survival_asic)
-from .params import (PER_LINK, SHARED, AsicParams, AsltParams, DelayMode)
+from .params import (PER_LINK, SHARED, AsicParams, AsltParams, DelayMode,
+                     link_array)
 from .select import (ObservationPeriods, SelectionReport,
                      build_observation_periods, predictive_score,
                      select_model, select_topics)

@@ -62,10 +62,6 @@ class Cascade:
             raise CascadeError("empty cascade has no initial time")
         return self.events[0][1]
 
-    def active_before(self, t: float):
-        """Nodes activated strictly before time t."""
-        return {v for v, tv in self.events if tv < t}
-
     def truncated(self, cutoff: float) -> "Cascade":
         """Events observed in [0, cutoff), with the horizon set to the cutoff."""
         return Cascade([e for e in self.events if e[1] < cutoff], cutoff)

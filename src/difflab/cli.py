@@ -99,10 +99,10 @@ def _read_cascades(path):
         return read_cascades(path)
 
 
-def _params_from_args(parser, args, model):
+def _params_from_args(parser, args, model, g):
     if args.params:
         with _reading(args.params):
-            file_model, params = load_params(args.params)
+            file_model, params = load_params(args.params, g)
         if file_model != model:
             parser.error(f"parameter file is for model {file_model!r}, "
                          f"but --model is {model!r}")
@@ -125,7 +125,7 @@ def _cmd_simulate(parser, args):
     started = time.monotonic()
     g = _load_graph(args.graph)
     delay = _DELAY_FLAGS[args.delay]
-    params = _params_from_args(parser, args, args.model)
+    params = _params_from_args(parser, args, args.model, g)
     data = generate_training_set(
         g, params, args.model, delay, args.target_active, args.min_len,
         args.seed, max_attempts=args.max_attempts,
@@ -147,7 +147,7 @@ def _cmd_learn(parser, args):
                       init_r=args.init_r, tolerance=args.tol,
                       max_iterations=args.max_iter, mode=mode)
     params, trace = fit(args.model, g, data, config)
-    save_params(args.out, args.model, params, iterations=trace.iterations,
+    save_params(args.out, args.model, params, g, iterations=trace.iterations,
                 loglik_value=trace.loglik[-1])
     sidecar = {
         "loglik": trace.loglik,
@@ -158,9 +158,8 @@ def _cmd_learn(parser, args):
     if mode == SHARED:
         truth_strength = args.truth_p if args.model == "asic" else args.truth_q
         if truth_strength is not None:
-            est = params.p if args.model == "asic" else params.q
             key = "E_p" if args.model == "asic" else "E_q"
-            sidecar[key] = param_error(est, truth_strength)
+            sidecar[key] = param_error(params.strength, truth_strength)
         if args.truth_r is not None:
             sidecar["E_r"] = param_error(params.r, args.truth_r)
     with open(str(args.out) + ".trace.json", "w", encoding="utf-8") as fh:
@@ -217,7 +216,7 @@ def _cmd_select(parser, args):
 
 
 def _influence_table(parser, args, g):
-    params = _params_from_args(parser, args, args.model)
+    params = _params_from_args(parser, args, args.model, g)
     if args.method == "percolation":
         return influence_percolation(g, args.model, params, args.samples,
                                      args.seed, threads=args.threads)
@@ -262,6 +261,9 @@ def _cmd_rank(parser, args):
 
 
 def _read_ranked_csv(path):
+    """The nodes of a ``rank,node,score`` CSV in rank order.  Each row
+    holds its 1-based position as the rank, an integer node listed once,
+    and a number as the score."""
     order, seen = [], set()
     with _reading(path), open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -272,11 +274,16 @@ def _read_ranked_csv(path):
             if not line:
                 continue
             try:
-                node = int(line.split(",")[1])
-            except (IndexError, ValueError):
+                rank, node, score = line.split(",")
+                rank, node, _ = int(rank), int(node), float(score)
+            except ValueError:
                 raise DiffLabError(
-                    f"{path}: line {lineno}: expected 'rank,node,score' with "
-                    f"an integer node, got {line!r}") from None
+                    f"{path}: line {lineno}: expected 'rank,node,score' as "
+                    f"integer,integer,number, got {line!r}") from None
+            if rank != len(order) + 1:
+                raise DiffLabError(
+                    f"{path}: line {lineno}: rank {rank} on row "
+                    f"{len(order) + 1}; ranks must count up from 1")
             if node in seen:
                 raise DiffLabError(
                     f"{path}: line {lineno}: node {node} listed twice")

@@ -45,7 +45,8 @@ import numpy as np
 
 from .cascade import check_in_graph
 from .errors import EstimationError, ParameterError
-from .params import PER_LINK, SHARED, AsicParams, AsltParams, DelayMode
+from .params import (PER_LINK, SHARED, AsicParams, AsltParams, DelayMode,
+                     link_array)
 
 _log = logging.getLogger(__name__)
 
@@ -617,8 +618,7 @@ def _to_params(g, model, theta):
         return cls.shared(float(strength), float(r))
     if model == "aslt":
         strength = np.maximum(strength, PROB_FLOOR)
-    return cls.per_link(dict(zip(g.edges, strength.tolist())),
-                        dict(zip(g.edges, r.tolist())))
+    return cls.per_link(g, strength, r)
 
 
 def loglik(model: str, g, params, delay: DelayMode, data,
@@ -626,21 +626,16 @@ def loglik(model: str, g, params, delay: DelayMode, data,
     """Total log-likelihood of a cascade set under link delay.
 
     This is the first E pass of a per-link ``fit`` at ``params``, spread
-    over ``g.edges`` (shared parameters too; per-link ones must cover every
-    edge).  ``horizon_mode`` is ``fit``'s.  A factor of 0, such as an
-    activation that no earlier active parent could have caused, gives
-    -inf.  The node-delay variants have densities (``h_asic``,
-    ``h_aslt``) but no total here.
+    over ``g.edges`` (shared parameters too).  ``horizon_mode`` is
+    ``fit``'s.  A factor of 0, such as an activation that no earlier
+    active parent could have caused, gives -inf.  The node-delay variants
+    have densities (``h_asic``, ``h_aslt``) but no total here.
     """
     _check_args(model, horizon_mode)
     if delay is not DelayMode.LINK:
         raise ParameterError(
             "the total log-likelihood is only defined for link delay")
-    strength = (params.prob if model == "asic"
-                else partial(params.weight, g))
-    theta = (np.array([strength(u, v) for u, v in g.edges], dtype=np.float64),
-             np.array([params.rate(delay, u, v) for u, v in g.edges],
-                      dtype=np.float64))
+    theta = params.edge_values(g, delay)
     try:
         stats = _Stats(g, data, model)
     except _ZeroProbability:
@@ -773,11 +768,8 @@ def _fit(model, g, problems, config, starts, finite):
     untouched = 0
     if per_link:
         at = _Links(stats)
-        # A shared weight q splits over each node's parents as q / |B(v)|.
-        theta = ((np.full(g.edge_count, float(config.init_p))
-                  if model == "asic"
-                  else float(config.init_q) / g.in_degree[g.heads]),
-                 np.full(g.edge_count, float(config.init_r)))
+        theta = _to_params(g, model, _start(model, config, None)).edge_values(
+            g, DelayMode.LINK)
         # A frontier node's in-edges are frontier or never-active entries.
         touched = np.isin(g.heads, stats.f_group_node)
         touched[stats.link] = touched[stats.fail_edges] = True
@@ -888,39 +880,28 @@ def param_error(estimate: float, truth: float) -> float:
 # -- parameter file I/O ---------------------------------------------------------
 
 
-def _edge_key(e):
-    return f"{e[0]},{e[1]}"
-
-
-def _edge_map(name, values):
-    """A per-link map {"u,v": value} keyed by (u, v)."""
-    try:
-        pairs = [(key.split(","), val) for key, val in values.items()]
-        return {(int(u), int(v)): val for (u, v), val in pairs}
-    except (AttributeError, ValueError):
-        raise ParameterError(f'per-link "{name}" must be an object mapping '
-                             '"u,v" links to values') from None
-
-
-def save_params(path, model: str, params, iterations: int = 0,
+def save_params(path, model: str, params, g, iterations: int = 0,
                 loglik_value: float = math.nan) -> None:
-    """Write a fitted parameter set as a JSON document."""
+    """Write a fitted parameter set as a JSON document.  Per-link values
+    are keyed ``"u,v"`` by the internal ids of ``g``'s links."""
     doc = {"model": model, "mode": params.mode,
            "iterations": int(iterations), "loglik": loglik_value}
-    strength, r = params.p if model == "asic" else params.q, params.r
+    strength, r = params.strength, params.r
     if params.mode != SHARED:
-        strength, r = ({_edge_key(e): val for e, val in x.items()}
-                       for x in (strength, r))
+        keys = [f"{u},{v}" for u, v in g.edges]
+        strength, r = (dict(zip(keys, x.tolist())) for x in (strength, r))
     doc["p" if model == "asic" else "q"], doc["r"] = strength, r
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_params(path):
-    """Read a parameter JSON document; returns (model, params).  A document
-    without a known model, mode or parameter field, or with a malformed or
-    out-of-range value, raises ``ParameterError`` naming the file."""
+def load_params(path, g):
+    """Read a parameter JSON document for graph ``g``; returns (model,
+    params).  A document without a known model, mode or parameter field,
+    with a malformed or out-of-range value, or whose per-link maps miss a
+    link of ``g`` or name one it lacks, raises ``ParameterError`` naming
+    the file."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     model = doc.get("model") if isinstance(doc, dict) else None
@@ -934,7 +915,7 @@ def load_params(path):
     try:
         if doc["mode"] == SHARED:
             return model, cls.shared(doc[strength], doc["r"])
-        return model, cls.per_link(_edge_map(strength, doc[strength]),
-                                   _edge_map("r", doc["r"]))
+        return model, cls.per_link(g, link_array(g, strength, doc[strength]),
+                                   link_array(g, "r", doc["r"]))
     except ParameterError as exc:
         raise ParameterError(f"{path}: {exc}") from None

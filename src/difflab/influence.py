@@ -52,15 +52,14 @@ class InfluenceTable:
 def _aslt_choice_tables(g, params):
     """Cumulative in-weights for vectorized sampling, aligned with
     ``g.in_edges``: node v's entries ``g.in_ptr[v]:g.in_ptr[v+1]`` hold its
-    running weight sums in parent order, offset by 2v so each node owns a
-    disjoint value range."""
-    flat_cum = []
-    for v, parents in enumerate(g.in_adj):
-        acc = 0.0
-        for u in parents:
-            acc += params.weight(g, u, v)
-            flat_cum.append(2.0 * v + min(acc, 1.0))
-    return np.asarray(flat_cum, dtype=np.float64)
+    running weight sums in parent order, capped at 1 and offset by 2v so
+    each node owns a disjoint value range.  Step j adds the j-th in-weight
+    of every node with more than j parents to its running sum."""
+    cum = params.edge_values(g, DelayMode.LINK)[0][g.in_edges]
+    for j in range(1, int(g.in_degree.max(initial=0))):
+        pos = g.in_ptr[np.flatnonzero(g.in_degree > j)] + j
+        cum[pos] += cum[pos - 1]
+    return 2.0 * g.heads[g.in_edges] + np.minimum(cum, 1.0)
 
 
 # Worlds are solved in blocks whose working set stays near _BLOCK_BYTES: per
@@ -138,7 +137,7 @@ def _percolation_partial(g, model, params, rng_seed, lo, hi):
     """
     n = g.node_count
     if model == "asic":
-        live_p = np.asarray([params.prob(u, v) for u, v in g.edges])
+        live_p = params.edge_values(g, DelayMode.LINK)[0]
         width = len(live_p)
     else:
         flat_cum = _aslt_choice_tables(g, params)

@@ -15,6 +15,7 @@ log-likelihood are formed for link delay only, by the EM E passes
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from .cascade import effective_parents
 from .errors import CascadeError
@@ -46,6 +47,24 @@ def x_density_aslt(q: float, r: float, dt: float) -> float:
     return q * r * math.exp(-r * dt)
 
 
+def _parents(c, g, params, delay, v):
+    """``(t_v - t_u, strength, rate)`` of each effective parent u of active
+    node v, in activation order; None when v activated at the initial
+    time, where its density is 1."""
+    if v not in c:
+        raise CascadeError(f"node {v} is not active in the cascade")
+    tv = c.time_of(v)
+    if tv == c.initial_time:
+        return None
+    strength, rate = params.edge_values(
+        g, delay, g.in_edges[g.in_ptr[v]:g.in_ptr[v + 1]])
+    strength, rate = strength.tolist(), rate.tolist()
+    # v's i-th in-edge comes from its i-th parent, parents ascending.
+    ordered = sorted((c.time_of(u), bisect_left(g.in_adj[v], u))
+                     for u in effective_parents(g, c, v))
+    return [(tv - tu, strength[i], rate[i]) for tu, i in ordered]
+
+
 def h_asic(c, g, params, delay: DelayMode, v: int) -> float:
     """Activation density of active node v under the cascade model.
 
@@ -56,33 +75,23 @@ def h_asic(c, g, params, delay: DelayMode, v: int) -> float:
     prod(Y) * sum(X/Y).  Non-overridable node delay instead conditions on all
     earlier parents having failed outright.
     """
-    if v not in c:
-        raise CascadeError(f"node {v} is not active in the cascade")
-    tv = c.time_of(v)
-    if tv == c.initial_time:
-        return 1.0
-    parents = effective_parents(g, c, v)
+    parents = _parents(c, g, params, delay, v)
     if not parents:
-        return 0.0
-    ordered = sorted((c.time_of(u), u) for u in parents)
+        return 1.0 if parents is None else 0.0
     if delay is DelayMode.NODE_NON_OVERRIDE:
         # Parents in activation order; the j-th term needs every earlier
         # parent to have failed its one chance.
         total = 0.0
         fail_prod = 1.0
-        for tu, u in ordered:
-            p = params.prob(u, v)
-            rv = params.rate(delay, u, v)
-            total += fail_prod * x_density_asic(p, rv, tv - tu)
+        for dt, p, rv in parents:
+            total += fail_prod * x_density_asic(p, rv, dt)
             fail_prod *= (1.0 - p)
         return total
     prod_y = 1.0
     sum_ratio = 0.0
-    for tu, u in ordered:
-        p = params.prob(u, v)
-        ruv = params.rate(delay, u, v)
-        x = x_density_asic(p, ruv, tv - tu)
-        y = y_survival_asic(p, ruv, tv - tu)
+    for dt, p, ruv in parents:
+        x = x_density_asic(p, ruv, dt)
+        y = y_survival_asic(p, ruv, dt)
         if y == 0.0:
             return 0.0
         prod_y *= y
@@ -99,31 +108,21 @@ def h_aslt(c, g, params, delay: DelayMode, v: int) -> float:
     Overridable node delay sums over which parent's weight tipped the
     threshold and which later parent's proposed reaction time came first.
     """
-    if v not in c:
-        raise CascadeError(f"node {v} is not active in the cascade")
-    tv = c.time_of(v)
-    if tv == c.initial_time:
-        return 1.0
-    parents = effective_parents(g, c, v)
+    parents = _parents(c, g, params, delay, v)
     if not parents:
-        return 0.0
-    ordered = sorted((c.time_of(u), u) for u in parents)
+        return 1.0 if parents is None else 0.0
     if delay is DelayMode.NODE_OVERRIDE:
         total = 0.0
-        n = len(ordered)
+        n = len(parents)
         # Suffix products of the per-parent exponential tails.
-        tails = [math.exp(-params.rate(delay, u, v) * (tv - tu))
-                 for tu, u in ordered]
+        tails = [math.exp(-rv * dt) for dt, _, rv in parents]
         suffix = [1.0] * (n + 1)
         for i in range(n - 1, -1, -1):
             suffix[i] = suffix[i + 1] * tails[i]
-        for j, (tu, u) in enumerate(ordered):
-            rv = params.rate(delay, u, v)
-            total += params.weight(g, u, v) * (n - j) * rv * suffix[j]
+        for j, (_, q, rv) in enumerate(parents):
+            total += q * (n - j) * rv * suffix[j]
         return total
     total = 0.0
-    for tu, u in ordered:
-        q = params.weight(g, u, v)
-        ruv = params.rate(delay, u, v)
-        total += x_density_aslt(q, ruv, tv - tu)
+    for dt, q, ruv in parents:
+        total += x_density_aslt(q, ruv, dt)
     return total

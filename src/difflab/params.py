@@ -1,17 +1,26 @@
-"""Model parameter containers and the delay-semantics switch.
+"""Model parameter containers, the delay-semantics switch and the one
+reader of parameter values.
 
 Both diffusion models carry a delay-rate parameter ``r`` and a strength
 parameter (diffusion probability ``p`` for the cascade model, link weight
 coefficient ``q`` for the threshold model).  Parameters come in two modes:
 
-* ``shared``   - one scalar per parameter for the whole network,
-* ``per_link`` - explicit per-edge maps (per-node for node-delay rates).
+* ``shared``   - one float per parameter for the whole network,
+* ``per_link`` - read-only float64 arrays aligned with ``g.edges``: entry e
+  belongs to link ``g.edges[e]``.  Rates are stored per link under every
+  delay mode.
+
+``edge_values`` is the one reader of parameter values: it spreads either
+mode over edge ids.  ``link_array`` turns a ``{(u, v): value}`` map, the
+form of per-link parameter files, into an edge array.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -25,7 +34,8 @@ class DelayMode(enum.Enum):
     LINK: delay is incurred in transit over each link; rate is per-link.
     NODE_NON_OVERRIDE: delay is the target node's response time, decided once.
     NODE_OVERRIDE: node response time, re-decidable while still inactive.
-    Node-delay variants use a per-node rate.
+    Under the node-delay variants node v's rate is the common rate of its
+    in-links.
     """
 
     LINK = "link"
@@ -44,55 +54,146 @@ def _number(name, value):
     raise ParameterError(f"{name} must be a number, got {value!r}")
 
 
-def _check_prob(name, value, allow_zero=False):
-    value = _number(name, value)
-    lower_ok = value >= 0.0 if allow_zero else value > 0.0
-    if not (lower_ok and value <= 1.0 and math.isfinite(value)):
-        lo = "[0" if allow_zero else "(0"
-        raise ParameterError(f"{name} must lie in {lo}, 1], got {value}")
-    return value
-
-
-def _check_rate(name, value):
-    value = _number(name, value)
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ParameterError(f"{name} must be a positive finite rate, got {value}")
-    return value
-
-
-class _RateMixin:
-    """Shared handling of the delay-rate parameter.
-
-    In per-link mode the rate map is keyed by edge (u, v) under LINK delay
-    and by node v under the node-delay variants.
-    """
-
-    __slots__ = ()
-
-    def rate(self, delay: DelayMode, u: int, v: int) -> float:
-        if self.mode == SHARED:
-            return self.r
-        if delay is DelayMode.LINK:
-            try:
-                return self.r[(u, v)]
-            except KeyError:
-                raise ParameterError(f"no delay rate for link ({u}, {v})") from None
+def link_array(g, name, values):
+    """A map from every link of ``g`` to a number, as a float64 array
+    aligned with ``g.edges``.  Keys are ``(u, v)`` pairs of internal node
+    ids, or ``"u,v"`` strings as in parameter files.  A malformed key, a
+    link missing from the map or absent from ``g``, and a value that is
+    not a number raise ``ParameterError``."""
+    malformed = ParameterError(f'per-link "{name}" must be an object '
+                               'mapping "u,v" links to values')
+    if not isinstance(values, dict):
+        raise malformed
+    out = np.empty(g.edge_count)
+    given = np.zeros(g.edge_count, dtype=bool)
+    for key, value in values.items():
         try:
-            return self.r[v]
+            u, v = map(int, key.split(",") if isinstance(key, str) else key)
+        except (TypeError, ValueError):
+            raise malformed from None
+        try:
+            e = g.edge_id(u, v)
         except KeyError:
-            raise ParameterError(f"no delay rate for node {v}") from None
+            raise ParameterError(
+                f"{name}: link ({u}, {v}) is not in the graph") from None
+        out[e] = _number(f"{name}[{(u, v)}]", value)
+        given[e] = True
+    if not given.all():
+        u, v = g.edges[int(np.argmin(given))]
+        raise ParameterError(f"{name}: no value for link ({u}, {v})")
+    return out
 
-    def _validate_rates(self):
+
+def _edge_floats(g, name, values):
+    """``values``, one per edge of ``g``, as a new float64 array.  Text and
+    booleans are refused as ``_number`` refuses them."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        values = (values.tolist() if isinstance(values, np.ndarray)
+                  else list(values))
+        if len(values) == g.edge_count:
+            values = [_number(f"{name}[{g.edges[e]}]", x)
+                      for e, x in enumerate(values)]
+    if np.shape(values) != (g.edge_count,):
+        raise ParameterError(f"{name} must hold one value per link "
+                             f"({g.edge_count}), got {np.shape(values)}")
+    return np.array(values, dtype=np.float64)
+
+
+def _refuse(g, name, values, ok, what):
+    """Raise naming the first value that is not ``ok``: a link of ``g``,
+    or the shared value when ``g`` is None (``ok`` is then a bool)."""
+    if ok is not True and not np.all(ok):
+        e = int(np.argmin(ok))
+        where = name if g is None else f"{name}[{g.edges[e]}]"
+        raise ParameterError(
+            f"{where} {what}, got {float(np.ravel(values)[e])}")
+
+
+class _Params:
+    """Shared values are floats; per-link values are read-only float64
+    arrays over ``g.edges``.  Build with ``shared(strength, r)`` or with
+    ``per_link(g, strength, r)``, which takes one value per link in
+    ``g.edges`` order; both check the values."""
+
+    __slots__ = ("mode", "r")
+    _STRENGTH = ""
+
+    def __init__(self, mode, strength, r):
+        if mode == PER_LINK:
+            strength.flags.writeable = r.flags.writeable = False
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, self._STRENGTH, strength)
+        object.__setattr__(self, "r", r)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.mode, self.strength, self.r))
+
+    @property
+    def strength(self):
+        return getattr(self, self._STRENGTH)
+
+    @classmethod
+    def _checked(cls, g, strength, r):
+        """Shared parameters when ``g`` is None, else per-link ones."""
+        name, closed = cls._STRENGTH, cls is AsicParams
+        if g is None:
+            s, r = _number(name, strength), _number("r", r)
+        else:
+            s, r = _edge_floats(g, name, strength), _edge_floats(g, "r", r)
+        _refuse(g, name, s, ((s >= 0.0) if closed else (s > 0.0)) & (s <= 1.0),
+                f"must lie in {'[0' if closed else '(0'}, 1]")
+        _refuse(g, "r", r, (r > 0.0) & (r < math.inf),
+                "must be a positive finite rate")
+        if g is None:
+            return cls(SHARED, s, r)
+        if not closed:
+            sums = np.bincount(g.heads, weights=s, minlength=g.node_count)
+            over = np.flatnonzero(sums > 1.0 + 1e-9)
+            if over.size:
+                v = int(over[0])
+                raise ParameterError(
+                    f"incoming weights of node {v} sum to {sums[v]} > 1")
+        return cls(PER_LINK, s, r)
+
+    def edge_values(self, g, delay: DelayMode, edges=None):
+        """``(strength, rate)`` float64 arrays over edge ids ``edges``, or
+        over all of ``g.edges`` when ``edges`` is None.
+
+        The strength is the diffusion probability (cascade model) or the
+        link weight (threshold model); a shared weight q splits over each
+        node's parents as q / |B(v)|.  Under node delay each edge gets its
+        head's rate, the common rate of the head's in-links; in-link rates
+        that differ raise ``ParameterError`` naming the node.
+        """
+        edges = np.arange(g.edge_count) if edges is None else edges
         if self.mode == SHARED:
-            object.__setattr__(self, "r", _check_rate("r", self.r))
-            return
-        checked = {}
-        for key, val in dict(self.r).items():
-            checked[key] = _check_rate(f"r[{key}]", val)
-        object.__setattr__(self, "r", checked)
+            values = np.empty((2, len(edges)))
+            values[0], values[1] = self.strength, self.r
+            if self._STRENGTH == "q":
+                values[0] /= g.in_degree[g.heads[edges]]
+            return values[0], values[1]
+        rate = self.r[edges]
+        if delay is not DelayMode.LINK:
+            heads = g.heads[edges]
+            same = rate == self.r[g.in_edges[g.in_ptr[heads]]]
+            if not same.all():
+                raise ParameterError(
+                    f"node delay needs one rate per node: the in-link rates "
+                    f"of node {int(heads[np.argmin(same)])} differ")
+        return self.strength[edges], rate
+
+    def __repr__(self):
+        name = type(self).__name__
+        if self.mode == SHARED:
+            return (f"{name}.shared({self._STRENGTH}={self.strength:.6g}, "
+                    f"r={self.r:.6g})")
+        return f"{name}.per_link(<{len(self.r)} links>)"
 
 
-class AsicParams(_RateMixin):
+class AsicParams(_Params):
     """Parameters of the asynchronous independent-cascade model.
 
     ``p`` is the per-attempt diffusion probability, ``r`` the exponential
@@ -101,115 +202,34 @@ class AsicParams(_RateMixin):
     keeps p strictly interior.
     """
 
-    __slots__ = ("mode", "p", "r")
-
-    def __init__(self, mode, p, r):
-        if mode not in (SHARED, PER_LINK):
-            raise ParameterError(f"mode must be {SHARED!r} or {PER_LINK!r}")
-        object.__setattr__(self, "mode", mode)
-        if mode == SHARED:
-            object.__setattr__(self, "p", _check_prob("p", p, allow_zero=True))
-        else:
-            object.__setattr__(
-                self, "p",
-                {k: _check_prob(f"p[{k}]", val, allow_zero=True)
-                 for k, val in dict(p).items()})
-        object.__setattr__(self, "r", r)
-        self._validate_rates()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AsicParams is immutable")
-
-    def __reduce__(self):
-        return (AsicParams, (self.mode, self.p, self.r))
+    __slots__ = ("p",)
+    _STRENGTH = "p"
 
     @classmethod
     def shared(cls, p, r):
-        return cls(SHARED, p, r)
+        return cls._checked(None, p, r)
 
     @classmethod
-    def per_link(cls, p, r):
-        return cls(PER_LINK, p, r)
-
-    def prob(self, u: int, v: int) -> float:
-        if self.mode == SHARED:
-            return self.p
-        try:
-            return self.p[(u, v)]
-        except KeyError:
-            raise ParameterError(f"no diffusion probability for link ({u}, {v})") from None
-
-    def __repr__(self):
-        if self.mode == SHARED:
-            return f"AsicParams.shared(p={self.p:.6g}, r={self.r:.6g})"
-        return f"AsicParams.per_link(<{len(self.p)} links>)"
+    def per_link(cls, g, p, r):
+        return cls._checked(g, p, r)
 
 
-class AsltParams(_RateMixin):
+class AsltParams(_Params):
     """Parameters of the asynchronous linear-threshold model.
 
     In shared mode a single coefficient ``q`` in (0, 1] spreads over each
     node's parents as q / |B(v)|, leaving slack weight 1 - q on the node
-    itself.  In per-link mode the weight map must satisfy, for every node,
-    sum of incoming weights <= 1; the remainder is the slack weight.
+    itself.  In per-link mode every node's incoming weights must sum to at
+    most 1; the remainder is the slack weight.
     """
 
-    __slots__ = ("mode", "q", "r", "_in_weight_sum")
-
-    def __init__(self, mode, q, r):
-        if mode not in (SHARED, PER_LINK):
-            raise ParameterError(f"mode must be {SHARED!r} or {PER_LINK!r}")
-        object.__setattr__(self, "mode", mode)
-        if mode == SHARED:
-            object.__setattr__(self, "q", _check_prob("q", q))
-            object.__setattr__(self, "_in_weight_sum", None)
-        else:
-            qmap = {k: _check_prob(f"q[{k}]", val) for k, val in dict(q).items()}
-            sums: dict[int, float] = {}
-            for (u, v), val in qmap.items():
-                sums[v] = sums.get(v, 0.0) + val
-            for v, total in sums.items():
-                if total > 1.0 + 1e-9:
-                    raise ParameterError(
-                        f"incoming weights of node {v} sum to {total} > 1")
-            object.__setattr__(self, "q", qmap)
-            object.__setattr__(self, "_in_weight_sum", sums)
-        object.__setattr__(self, "r", r)
-        self._validate_rates()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AsltParams is immutable")
-
-    def __reduce__(self):
-        return (AsltParams, (self.mode, self.q, self.r))
+    __slots__ = ("q",)
+    _STRENGTH = "q"
 
     @classmethod
     def shared(cls, q, r):
-        return cls(SHARED, q, r)
+        return cls._checked(None, q, r)
 
     @classmethod
-    def per_link(cls, q, r):
-        return cls(PER_LINK, q, r)
-
-    def weight(self, g, u: int, v: int) -> float:
-        """Link weight q_{u,v}; needs the graph for the shared split."""
-        if self.mode == SHARED:
-            nb = len(g.in_adj[v])
-            if nb == 0:
-                raise ParameterError(f"node {v} has no parents, weight undefined")
-            return self.q / nb
-        try:
-            return self.q[(u, v)]
-        except KeyError:
-            raise ParameterError(f"no weight for link ({u}, {v})") from None
-
-    def slack(self, g, v: int) -> float:
-        """Residual self weight q_{v,v} = 1 - sum of incoming weights."""
-        if self.mode == SHARED:
-            return 1.0 - self.q if len(g.in_adj[v]) > 0 else 1.0
-        return max(0.0, 1.0 - self._in_weight_sum.get(v, 0.0))
-
-    def __repr__(self):
-        if self.mode == SHARED:
-            return f"AsltParams.shared(q={self.q:.6g}, r={self.r:.6g})"
-        return f"AsltParams.per_link(<{len(self.q)} links>)"
+    def per_link(cls, g, q, r):
+        return cls._checked(g, q, r)

@@ -61,19 +61,13 @@ class _RunTables:
     __slots__ = ("rows", "min_rate")
 
     def __init__(self, g, model, params, delay):
-        if model == "asic":
-            strength = params.prob
-        elif model == "aslt":
-            def strength(u, v):
-                return params.weight(g, u, v)
-        else:
+        if model not in ("asic", "aslt"):
             raise ValueError(f"unknown model {model!r}")
-        rate = params.rate
-        self.rows = [tuple((v, strength(u, v), rate(delay, u, v))
-                           for v in kids)
-                     for u, kids in enumerate(g.out_adj)]
-        self.min_rate = min((r for row in self.rows for _, _, r in row),
-                            default=1.0)
+        strength, rate = params.edge_values(g, delay)
+        s, r, ptr = strength.tolist(), rate.tolist(), g.out_ptr.tolist()
+        self.rows = [tuple(zip(kids, s[a:b], r[a:b]))
+                     for kids, a, b in zip(g.out_adj, ptr, ptr[1:])]
+        self.min_rate = float(rate.min()) if len(rate) else 1.0
 
 
 # The run loops below expand every node right after it activates (the seeds

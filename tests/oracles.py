@@ -138,26 +138,49 @@ def loglik_aslt_direct(parents, children, events_list, horizons,
     return total
 
 
+def link_accessors(g, params):
+    """``(strength_of(u, v), rate_of(u, v), slack_of(v))`` read from the
+    fields of ``params``: shared scalars, or per-link arrays indexed by
+    ``g.edge_id``.  A shared weight q splits as q / |B(v)| and leaves slack
+    1 - q on a node with parents.  Under node delay a per-link rate file
+    gives every in-link of v the same rate, so ``rate_of(u, v)`` serves
+    all three delay modes."""
+    strength = params.p if hasattr(params, "p") else params.q
+    if params.mode == "shared":
+        def strength_of(u, v):
+            if hasattr(params, "p"):
+                return strength
+            return strength / len(g.in_adj[v])
+
+        def slack_of(v):
+            return 1.0 - strength if g.in_adj[v] else 1.0
+
+        return strength_of, lambda u, v: params.r, slack_of
+
+    def strength_of(u, v):
+        return float(strength[g.edge_id(u, v)])
+
+    def slack_of(v):
+        return max(0.0, 1.0 - sum(strength_of(u, v) for u in g.in_adj[v]))
+
+    return (strength_of, lambda u, v: float(params.r[g.edge_id(u, v)]),
+            slack_of)
+
+
 def loglik_direct(model, g, params, data, horizon_mode="infinite"):
     """The direct log-likelihood of ``data`` (a list of cascades) on graph
-    ``g`` under link-delay ``params`` of either model.  Only the parameter
-    accessors (``prob``, ``weight``, ``slack``, ``rate``) are the
-    package's."""
-    from difflab import DelayMode
+    ``g`` under link-delay ``params`` of either model, read through
+    ``link_accessors``."""
     parents = {v: list(g.in_adj[v]) for v in range(g.node_count)}
     children = {v: list(g.out_adj[v]) for v in range(g.node_count)}
     events = [dict(c.events) for c in data]
     horizons = [c.horizon for c in data]
-
-    def r_of(u, v):
-        return params.rate(DelayMode.LINK, u, v)
-
+    strength_of, r_of, slack_of = link_accessors(g, params)
     if model == "asic":
-        return loglik_asic_direct(parents, children, events, params.prob,
+        return loglik_asic_direct(parents, children, events, strength_of,
                                   r_of, horizon_mode, horizons)
     return loglik_aslt_direct(parents, children, events, horizons,
-                              lambda u, v: params.weight(g, u, v),
-                              lambda v: params.slack(g, v), r_of)
+                              strength_of, slack_of, r_of)
 
 
 def frontier(g, c):
@@ -571,8 +594,9 @@ def percolation_per_world(g, model, params, samples, world_rng, chunks):
     n = g.node_count
     edge_u = np.asarray([e[0] for e in g.edges], dtype=np.intp)
     edge_v = np.asarray([e[1] for e in g.edges], dtype=np.intp)
+    strength_of = link_accessors(g, params)[0]
     if model == "asic":
-        live_p = np.asarray([params.prob(u, v) for u, v in g.edges])
+        live_p = np.asarray([strength_of(u, v) for u, v in g.edges])
     else:
         ptr = np.zeros(n + 1, dtype=np.intp)
         flat_edge = []
@@ -580,7 +604,7 @@ def percolation_per_world(g, model, params, samples, world_rng, chunks):
         for v in range(n):
             acc = 0.0
             for u in g.in_adj[v]:
-                acc += params.weight(g, u, v)
+                acc += strength_of(u, v)
                 flat_edge.append(g.edges.index((u, v)))
                 flat_cum.append(2.0 * v + min(acc, 1.0))
             ptr[v + 1] = ptr[v] + len(g.in_adj[v])
@@ -634,17 +658,11 @@ class ClosureTables:
 
     def __init__(self, g, model, params, delay):
         self.children = g.out_adj
-        self.strength = []
-        self.rate = []
-        for u in range(g.node_count):
-            if model == "asic":
-                self.strength.append([params.prob(u, v)
-                                      for v in g.out_adj[u]])
-            else:
-                self.strength.append([params.weight(g, u, v)
-                                      for v in g.out_adj[u]])
-            self.rate.append([params.rate(delay, u, v)
-                              for v in g.out_adj[u]])
+        strength_of, rate_of, _ = link_accessors(g, params)
+        self.strength = [[strength_of(u, v) for v in kids]
+                         for u, kids in enumerate(g.out_adj)]
+        self.rate = [[rate_of(u, v) for v in kids]
+                     for u, kids in enumerate(g.out_adj)]
 
 
 def run_asic_closures(tables, delay, seeds, rng, attempt_log=None):

@@ -22,6 +22,7 @@ from difflab import (AsicParams, AsltParams, Cascade, DelayMode, EmConfig,
                      influence_percolation, loglik, mean_out_degree,
                      param_error, preferential_attachment, rank_by_score,
                      ranking_similarity, select_topics)
+from difflab.params import link_array
 from difflab.rng import derive_rng
 
 from oracles import (loglik_asic_direct, loglik_aslt_direct,
@@ -243,7 +244,8 @@ def test_criterion_06_likelihood_oracle_equivalence():
         children = {v: list(g.out_adj[v]) for v in range(n)}
         p_map = {e: rng.uniform(0.05, 0.95) for e in g.edges}
         r_map = {e: rng.uniform(0.2, 3.0) for e in g.edges}
-        asic = AsicParams.per_link(p_map, r_map)
+        asic = AsicParams.per_link(g, link_array(g, "p", p_map),
+                                   link_array(g, "r", r_map))
         for mode in ("infinite", "finite"):
             got = loglik("asic", g, asic, LINK, cascades, horizon_mode=mode)
             want = loglik_asic_direct(parents, children, event_dicts,

@@ -34,10 +34,6 @@ class TestCascade:
         assert t.events == ((0, 0.0), (1, 1.0))
         assert t.horizon == 2.0
 
-    def test_active_before_is_strict(self):
-        c = Cascade([(0, 0.0), (1, 1.0)], 5.0)
-        assert c.active_before(1.0) == {0}
-
 
 class TestCascadeSetIO:
     def test_round_trip_full_precision(self):

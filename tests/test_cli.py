@@ -201,6 +201,31 @@ class TestLearnSelect:
         sidecar = json.loads((tmp_path / "pl.json.trace.json").read_text())
         assert sidecar["untouched_links"] > 0
 
+    @pytest.mark.parametrize("model", ["asic", "aslt"])
+    def test_per_link_file_drives_simulate_and_influence(self, tmp_path,
+                                                         graph_file, model):
+        casc = self._make_cascades(tmp_path, graph_file, model)
+        learned = tmp_path / "pl.json"
+        assert _run(["learn", "--graph", graph_file, "--cascades", casc,
+                     "--model", model, "--mode", "per-link",
+                     "--max-iter", "5", "--out", learned]) == 0
+        assert json.loads(learned.read_text())["mode"] == "per_link"
+        out = tmp_path / "resim.jsonl"
+        assert _run(["simulate", "--graph", graph_file, "--model", model,
+                     "--params", learned, "--target-active", "40",
+                     "--min-len", "2", "--seed", "3", "--out", out]) == 0
+        assert out.read_text().strip()
+        # Two worker processes: the array parameters go through pickling.
+        tables = []
+        for threads in ("2", "1"):
+            table = tmp_path / f"influence{threads}.csv"
+            assert _run(["influence", "--graph", graph_file, "--model", model,
+                         "--method", "percolation", "--params", learned,
+                         "--samples", "60", "--seed", "4", "--threads",
+                         threads, "--out", table]) == 0
+            tables.append(table.read_text())
+        assert tables[0] == tables[1]
+
     def test_select_reports_topics(self, tmp_path, graph_file):
         casc = self._make_cascades(tmp_path, graph_file)
         out = tmp_path / "report.json"
@@ -371,6 +396,70 @@ class TestInputErrors:
                    "--k", "3", "--out", out])
         self._assert_error(capsys, rc, f"{cand}: line 3: node 5 listed twice")
         assert not out.exists()
+
+    @pytest.mark.parametrize("rows, part", [
+        ("foo,0,bar\n7,1\n", "line 2: expected 'rank,node,score'"),
+        ("1,0,bar\n2,1,0.5\n", "line 2: expected 'rank,node,score'"),
+        ("1,0,1.0\n7,1\n", "line 3: expected 'rank,node,score'"),
+        ("1,0,1.0\n2,1,0.5,9\n", "line 3: expected 'rank,node,score'"),
+        ("2,1,0.5\n1,0,1.0\n", "line 2: rank 2 on row 1"),
+        ("1,0,1.0\n3,1,0.5\n", "line 3: rank 3 on row 2"),
+    ])
+    def test_compare_rank_checks_every_field(self, tmp_path, capsys, rows,
+                                             part):
+        truth, cand = tmp_path / "truth.csv", tmp_path / "cand.csv"
+        truth.write_text("rank,node,score\n1,0,1.0\n2,1,0.5\n")
+        cand.write_text("rank,node,score\n" + rows)
+        out = tmp_path / "sim.csv"
+        rc = _run(["compare-rank", "--truth", truth, "--candidate", cand,
+                   "--k", "2", "--out", out])
+        self._assert_error(capsys, rc, f"{cand}: {part}")
+        assert not out.exists()
+
+    @staticmethod
+    def _per_link_file(tmp_path, p, r):
+        graph, params = tmp_path / "g.txt", tmp_path / "params.json"
+        # A 3-node cycle plus 0 -> 2: node 2 has two in-links.
+        graph.write_text("0 1\n1 2\n2 0\n0 2\n")
+        params.write_text(json.dumps({"model": "asic", "mode": "per_link",
+                                      "p": p, "r": r}))
+        return graph, params
+
+    def test_per_link_file_with_unknown_link(self, tmp_path, capsys):
+        links = {"0,1": 0.5, "1,2": 0.5, "2,0": 0.5, "0,2": 0.5}
+        graph, params = self._per_link_file(
+            tmp_path, dict(links, **{"5,7": 0.5}), links)
+        rc = _run(["influence", "--graph", graph, "--model", "asic",
+                   "--params", params, "--samples", "10", "--seed", "1",
+                   "--threads", "1", "--out", tmp_path / "i.csv"])
+        self._assert_error(capsys, rc, f"{params}: p: link (5, 7) is not in "
+                           "the graph")
+
+    def test_per_link_file_missing_link(self, tmp_path, capsys):
+        links = {"0,1": 0.5, "1,2": 0.5, "2,0": 0.5, "0,2": 0.5}
+        graph, params = self._per_link_file(
+            tmp_path, links, {k: v for k, v in links.items() if k != "2,0"})
+        rc = _run(["influence", "--graph", graph, "--model", "asic",
+                   "--params", params, "--samples", "10", "--seed", "1",
+                   "--threads", "1", "--out", tmp_path / "i.csv"])
+        self._assert_error(capsys, rc,
+                           f"{params}: r: no value for link (2, 0)")
+
+    @pytest.mark.parametrize("rate_02, ok", [(2.0, True), (1.0, False)])
+    def test_node_delay_with_per_link_file(self, tmp_path, capsys, rate_02,
+                                           ok):
+        p = {"0,1": 0.5, "1,2": 0.5, "2,0": 0.5, "0,2": 0.5}
+        r = {"0,1": 1.0, "1,2": 2.0, "2,0": 3.0, "0,2": rate_02}
+        graph, params = self._per_link_file(tmp_path, p, r)
+        out = tmp_path / "c.jsonl"
+        rc = _run(["simulate", "--graph", graph, "--model", "asic",
+                   "--delay", "node-no", "--params", params,
+                   "--target-active", "5", "--min-len", "1", "--seed", "2",
+                   "--out", out])
+        if ok:
+            assert rc == 0 and out.read_text().strip()
+        else:
+            self._assert_error(capsys, rc, "in-link rates of node 2 differ")
 
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_compare_rank_k_below_one(self, tmp_path, capsys, k):

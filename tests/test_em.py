@@ -1,5 +1,7 @@
+import json
 import logging
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,13 +15,13 @@ from difflab.cascade import effective_parents
 from difflab.em import (_Links, _Problems, _Stats, _asic_e, _asic_m_per_link,
                         _asic_m_shared, _aslt_e_per_link, _aslt_e_shared,
                         _aslt_m_per_link, _aslt_m_shared)
-from difflab.params import PER_LINK, SHARED
+from difflab.params import PER_LINK, SHARED, link_array
 from difflab.rng import derive_rng
 
 from oracles import (ZeroProbabilityEvent, aslt_e_per_link_iblock,
                      aslt_m_per_link_iblock, em_stats_loop,
-                     fit_aslt_per_link_iblock, frontier, loglik_direct,
-                     random_consistent_cascades)
+                     fit_aslt_per_link_iblock, frontier, link_accessors,
+                     loglik_direct, random_consistent_cascades)
 
 LINK = DelayMode.LINK
 
@@ -209,7 +211,8 @@ class TestMStepAslt:
                               theta)
         assert r[0] == pytest.approx(0.5)
         assert q[0] == pytest.approx(1.0)
-        assert AsltParams.shared(q[0], r[0]).slack(g, 1) == pytest.approx(0.0)
+        slack_of = link_accessors(g, AsltParams.shared(q[0], r[0]))[2]
+        assert slack_of(1) == pytest.approx(0.0)
 
     def test_per_link_single_link_fixed_point(self):
         g = DirectedGraph(2, [(0, 1)])
@@ -421,10 +424,9 @@ class TestPerLinkAsltOracle:
         assert trace.converged == converged
         assert trace.untouched_links == untouched
         np.testing.assert_allclose(trace.loglik, logliks, rtol=1e-9)
-        np.testing.assert_allclose([fitted.q[e] for e in g.edges],
-                                   np.maximum(q, 1e-12), rtol=1e-9)
-        np.testing.assert_allclose([fitted.r[e] for e in g.edges], r,
+        np.testing.assert_allclose(fitted.q, np.maximum(q, 1e-12),
                                    rtol=1e-9)
+        np.testing.assert_allclose(fitted.r, r, rtol=1e-9)
 
     @pytest.mark.parametrize("model", ["asic", "aslt"])
     def test_untouched_links_match_never_active_union(self, model):
@@ -629,10 +631,13 @@ class TestFitContract:
             s_map = {e: float(snap[0][i]) for i, e in enumerate(edges)}
             r_map = {e: float(snap[1][i]) for i, e in enumerate(edges)}
             if model == "asic":
-                snap_params = AsicParams.per_link(s_map, r_map)
+                snap_params = AsicParams.per_link(
+                    g, link_array(g, "p", s_map), link_array(g, "r", r_map))
             else:
                 snap_params = AsltParams.per_link(
-                    {e: max(val, 1e-12) for e, val in s_map.items()}, r_map)
+                    g, link_array(g, "q", {e: max(val, 1e-12)
+                                           for e, val in s_map.items()}),
+                    link_array(g, "r", r_map))
             want = loglik_direct(model, g, snap_params, data)
             assert ll == pytest.approx(want, rel=1e-10)
 
@@ -702,8 +707,9 @@ class TestFitQuality:
         link_fit, _ = fit("asic", g, cascades,
                           EmConfig(max_iterations=400, tolerance=1e-10,
                                    mode=PER_LINK))
-        assert link_fit.p[(0, 1)] == pytest.approx(shared_fit.p, rel=1e-6)
-        assert link_fit.r[(0, 1)] == pytest.approx(shared_fit.r, rel=1e-6)
+        e = g.edge_id(0, 1)
+        assert link_fit.p[e] == pytest.approx(shared_fit.p, rel=1e-6)
+        assert link_fit.r[e] == pytest.approx(shared_fit.r, rel=1e-6)
 
     def test_initialization_robustness(self):
         g, truth, data = _instance(11, "asic", n=40, p_edge=0.12, target=500)
@@ -759,33 +765,138 @@ class TestParamError:
 
 
 class TestParamsIO:
-    def test_shared_round_trip(self, tmp_path):
+    def test_shared_round_trip(self, tmp_path, chain2):
         path = tmp_path / "params.json"
         save_params(path, "asic", AsicParams.shared(0.123456789, 1.5),
-                    iterations=17, loglik_value=-12.5)
-        model, params = load_params(path)
+                    chain2, iterations=17, loglik_value=-12.5)
+        model, params = load_params(path, chain2)
         assert model == "asic"
         assert params.p == pytest.approx(0.123456789, rel=1e-15)
         assert params.r == 1.5
 
     def test_per_link_round_trip(self, tmp_path):
+        g = DirectedGraph(3, [(0, 1), (2, 1)])
         path = tmp_path / "params.json"
-        orig = AsltParams.per_link({(0, 1): 0.25, (2, 1): 0.5},
-                                   {(0, 1): 1.0, (2, 1): 2.0})
-        save_params(path, "aslt", orig, 3, -1.0)
-        model, params = load_params(path)
+        orig = AsltParams.per_link(
+            g, link_array(g, "q", {(0, 1): 0.25, (2, 1): 0.5}),
+            link_array(g, "r", {(0, 1): 1.0, (2, 1): 2.0}))
+        save_params(path, "aslt", orig, g, 3, -1.0)
+        model, params = load_params(path, g)
         assert model == "aslt"
-        assert params.q == orig.q
-        assert params.r == orig.r
+        assert np.array_equal(params.q, orig.q)
+        assert np.array_equal(params.r, orig.r)
+
+    @pytest.mark.parametrize("model", ["asic", "aslt"])
+    def test_save_load_save_is_byte_identical(self, tmp_path, model):
+        # Node ids past 9 sort "10,2" before "2,10": the file's sorted key
+        # order differs from the edge order.
+        g = DirectedGraph(12, [(2, 10), (10, 2), (11, 0), (0, 11), (3, 4),
+                               (9, 11)])
+        cls = AsicParams if model == "asic" else AsltParams
+        rng = np.random.default_rng(5)
+        orig = cls.per_link(g, rng.uniform(0.1, 0.5, g.edge_count),
+                            rng.uniform(0.5, 2.0, g.edge_count))
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_params(first, model, orig, g, 4, -2.5)
+        assert list(json.loads(first.read_text())["r"])[:2] == ["0,11",
+                                                                "10,2"]
+        _, params = load_params(first, g)
+        save_params(second, model, params, g, 4, -2.5)
+        assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize("cls", [AsicParams, AsltParams])
-    def test_text_and_booleans_are_not_numbers(self, cls):
+    def test_text_and_booleans_are_not_numbers(self, cls, chain2):
         # float() would take each of them: "0.5" as 0.5 and True as 1.
         for bad in ("0.5", b"0.5", True):
             for args in ((bad, 1.0), (0.5, bad)):
                 with pytest.raises(ParameterError, match="must be a number"):
                     cls.shared(*args)
-            with pytest.raises(ParameterError, match="must be a number"):
-                cls.per_link({(0, 1): bad}, {(0, 1): 1.0})
+                with pytest.raises(ParameterError,
+                                   match=r"\[\(0, 1\)\] must be a number"):
+                    cls.per_link(chain2, [args[0]], [args[1]])
+            with pytest.raises(ParameterError,
+                               match=r"p\[\(0, 1\)\] must be a number"):
+                link_array(chain2, "p", {(0, 1): bad})
         params = cls.shared(np.float32(0.5), np.int64(2))
         assert params.r == 2.0 and type(params.r) is float
+
+
+class TestPerLinkParams:
+    """Per-link parameters: read-only edge arrays, checked per link."""
+
+    @staticmethod
+    def _params(g, model, strength=0.25, rate=1.0):
+        cls = AsicParams if model == "asic" else AsltParams
+        return cls.per_link(g, np.full(g.edge_count, strength),
+                            np.full(g.edge_count, rate))
+
+    @pytest.mark.parametrize("model", ["asic", "aslt"])
+    def test_arrays_are_read_only_and_survive_pickling(self, fan_in, model):
+        params = self._params(fan_in, model)
+        for copy in (params, pickle.loads(pickle.dumps(params))):
+            assert np.array_equal(copy.strength, params.strength)
+            for arr in (copy.strength, copy.r):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.5
+            with pytest.raises(AttributeError):
+                copy.r = np.ones(2)
+
+    def test_per_link_copies_its_input(self, fan_in):
+        p = np.full(2, 0.5)
+        params = AsicParams.per_link(fan_in, p, [1.0, 2.0])
+        p[0] = 0.9
+        assert params.p[0] == 0.5 and p.flags.writeable
+
+    @pytest.mark.parametrize("model, values, message", [
+        ("asic", ([2.0, 0.5], [1.0, 1.0]),
+         r"p\[\(0, 2\)\] must lie in \[0, 1\], got 2.0"),
+        ("aslt", ([0.5, 0.0], [1.0, 1.0]),
+         r"q\[\(1, 2\)\] must lie in \(0, 1\], got 0.0"),
+        ("asic", ([0.5, 0.5], [1.0, math.inf]),
+         r"r\[\(1, 2\)\] must be a positive finite rate, got inf"),
+        ("aslt", ([0.6, 0.5], [1.0, 1.0]),
+         "incoming weights of node 2 sum to 1.1 > 1"),
+        ("asic", ([0.5], [1.0, 1.0]), r"one value per link \(2\)"),
+    ])
+    def test_refusals_name_the_link(self, fan_in, model, values, message):
+        cls = AsicParams if model == "asic" else AsltParams
+        with pytest.raises(ParameterError, match=message):
+            cls.per_link(fan_in, *values)
+
+    def test_link_array_refuses_missing_and_unknown_links(self, fan_in):
+        with pytest.raises(ParameterError,
+                           match=r"r: no value for link \(1, 2\)"):
+            link_array(fan_in, "r", {(0, 2): 1.0})
+        with pytest.raises(ParameterError,
+                           match=r"r: link \(2, 0\) is not in the graph"):
+            link_array(fan_in, "r", {"0,2": 1.0, "1,2": 1.0, "2,0": 1.0})
+        assert np.array_equal(link_array(fan_in, "r", {"1,2": 3, (0, 2): 2}),
+                              [2.0, 3.0])
+
+    @pytest.mark.parametrize("model", ["asic", "aslt"])
+    def test_edge_values(self, model):
+        g = DirectedGraph(4, [(0, 2), (1, 2), (2, 3), (3, 0)])
+        shared = (AsicParams.shared(0.4, 2.0) if model == "asic"
+                  else AsltParams.shared(0.4, 2.0))
+        strength, rate = shared.edge_values(g, LINK)
+        want = [0.4] * 4 if model == "asic" else [0.2, 0.2, 0.4, 0.4]
+        assert np.array_equal(strength, want)
+        assert np.array_equal(rate, [2.0] * 4)
+        ids = np.array([3, 1])
+        assert np.array_equal(shared.edge_values(g, LINK, ids)[0],
+                              np.array(want)[ids])
+        per_link = self._params(g, model, 0.3, 1.5)
+        strength, rate = per_link.edge_values(g, DelayMode.NODE_OVERRIDE,
+                                              ids)
+        assert np.array_equal(strength, [0.3, 0.3])
+        assert np.array_equal(rate, [1.5, 1.5])
+
+    @pytest.mark.parametrize("delay", [DelayMode.NODE_NON_OVERRIDE,
+                                       DelayMode.NODE_OVERRIDE])
+    def test_node_delay_needs_one_rate_per_node(self, fan_in, delay):
+        params = AsicParams.per_link(fan_in, [0.5, 0.5], [1.0, 2.0])
+        assert np.array_equal(params.edge_values(fan_in, LINK)[1], [1.0, 2.0])
+        with pytest.raises(ParameterError, match="rates of node 2 differ"):
+            params.edge_values(fan_in, delay)
+        with pytest.raises(ParameterError, match="rates of node 2 differ"):
+            params.edge_values(fan_in, delay, fan_in.in_edges)

@@ -17,6 +17,7 @@ from difflab import (AsicParams, AsltParams, Cascade,  # noqa: E402
                      fit_batch)
 from difflab.em import (_Links, _Stats, _aslt_e_per_link,  # noqa: E402
                         _aslt_m_per_link)
+from difflab.params import link_array  # noqa: E402
 
 from oracles import (aslt_e_per_link_iblock,  # noqa: E402
                      aslt_m_per_link_iblock, em_stats_loop, loglik_direct,
@@ -78,8 +79,9 @@ def test_first_fit_loglik_equals_loglik(case, model, mode, horizon_mode):
         return
     if mode == "per_link":
         strength, rate = trace.params_history[0]
-        start = cls.per_link(dict(zip(g.edges, strength.tolist())),
-                             dict(zip(g.edges, rate.tolist())))
+        start = cls.per_link(
+            g, link_array(g, "s", dict(zip(g.edges, strength.tolist()))),
+            link_array(g, "r", dict(zip(g.edges, rate.tolist()))))
     want = loglik_direct(model, g, start, data, horizon_mode)
     # Each cascade has at most one log term per event and one per edge;
     # terms that match to 1e-12 each do not give a relative bound on a

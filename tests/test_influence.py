@@ -8,6 +8,7 @@ from difflab import (AsicParams, AsltParams, DelayMode, DirectedGraph,
                      influence_direct_mc, influence_percolation)
 import difflab.influence as influence_mod
 from difflab.influence import _block_reachable_sizes
+from difflab.params import link_array
 from difflab.rng import derive_generator, derive_rng
 
 from oracles import (ClosureTables, exact_sigma_asic, exact_sigma_aslt,
@@ -83,7 +84,9 @@ class TestPercolation:
         assert (table.stderr == 0.0).all()
 
     def test_aslt_single_link_expectation(self, chain2):
-        params = AsltParams.per_link({(0, 1): 0.3}, {(0, 1): 1.0})
+        params = AsltParams.per_link(
+            chain2, link_array(chain2, "q", {(0, 1): 0.3}),
+            link_array(chain2, "r", {(0, 1): 1.0}))
         table = influence_percolation(chain2, "aslt", params, 10_000, 4)
         se = math.sqrt(0.3 * 0.7 / 10_000)
         assert abs(table.sigma[0] - 1.3) < 3 * se
@@ -102,7 +105,8 @@ class TestPercolation:
             if model == "asic":
                 p_map = {e: rng.uniform(0.1, 0.7) for e in g.edges}
                 params = AsicParams.per_link(
-                    p_map, {e: 1.0 for e in g.edges})
+                    g, link_array(g, "p", p_map),
+                    link_array(g, "r", {e: 1.0 for e in g.edges}))
                 exact = exact_sigma_asic(n, g.edges, lambda u, v: p_map[(u, v)])
             else:
                 q_map = {}
@@ -115,7 +119,8 @@ class TestPercolation:
                 if not q_map:
                     continue
                 params = AsltParams.per_link(
-                    q_map, {e: 1.0 for e in g.edges})
+                    g, link_array(g, "q", q_map),
+                    link_array(g, "r", {e: 1.0 for e in g.edges}))
                 exact = exact_sigma_aslt(n, g.edges,
                                          lambda u, v: q_map[(u, v)])
             table = influence_percolation(g, model, params, 20_000,

@@ -7,6 +7,7 @@ from scipy import integrate
 from difflab import (AsicParams, AsltParams, Cascade, CascadeError,
                      DelayMode, DirectedGraph, ParameterError, h_asic, h_aslt,
                      loglik, x_density_asic, x_density_aslt, y_survival_asic)
+from difflab.params import link_array
 from difflab.rng import derive_rng
 
 from oracles import (h_asic_sum_of_products, loglik_asic_direct,
@@ -112,7 +113,8 @@ class TestHAsic:
             c = Cascade(events, 10.0)
             p_map = {(u, k): rng.uniform(0.05, 0.95) for u in range(k)}
             r_map = {(u, k): rng.uniform(0.2, 3.0) for u in range(k)}
-            params = AsicParams.per_link(p_map, r_map)
+            params = AsicParams.per_link(g, link_array(g, "p", p_map),
+                                         link_array(g, "r", r_map))
             gaps = [tv - times[u] for u in range(k)]
             want = h_asic_sum_of_products(
                 gaps, [p_map[(u, k)] for u in range(k)],
@@ -214,21 +216,29 @@ class TestHAslt:
     def test_two_parents_link_delay(self, two_parent_case):
         g, c = two_parent_case
         params = AsltParams.per_link(
-            {(0, 2): 0.3, (1, 2): 0.3}, {(0, 2): 1.0, (1, 2): 1.0})
+            g, link_array(g, "q", {(0, 2): 0.3, (1, 2): 0.3}),
+            link_array(g, "r", {(0, 2): 1.0, (1, 2): 1.0}))
         assert h_aslt(c, g, params, LINK, 2) == pytest.approx(
             0.2923230302652227, rel=1e-12)
 
     def test_single_parent_override_reduces_to_link_value(self, chain2):
         c = Cascade([(0, 0.0), (1, 1.0)], 10.0)
-        link = AsltParams.per_link({(0, 1): 0.3}, {(0, 1): 1.0})
-        node = AsltParams.per_link({(0, 1): 0.3}, {1: 1.0})
+        link = AsltParams.per_link(
+            chain2, link_array(chain2, "q", {(0, 1): 0.3}),
+            link_array(chain2, "r", {(0, 1): 1.0}))
+        # Node 1's rate 1.0 is the rate of its one in-link.
+        node = AsltParams.per_link(
+            chain2, link_array(chain2, "q", {(0, 1): 0.3}),
+            link_array(chain2, "r", {(0, 1): 1.0}))
         assert h_aslt(c, chain2, node, NODE_OV, 1) == pytest.approx(
             h_aslt(c, chain2, link, LINK, 1), rel=1e-12)
 
     def test_two_parents_override(self, two_parent_case):
         g, c = two_parent_case
+        # Node 2's rate 1.0 on each of its in-links.
         params = AsltParams.per_link(
-            {(0, 2): 0.3, (1, 2): 0.3}, {2: 1.0, 0: 1.0, 1: 1.0})
+            g, link_array(g, "q", {(0, 2): 0.3, (1, 2): 0.3}),
+            link_array(g, "r", {(0, 2): 1.0, (1, 2): 1.0}))
         assert h_aslt(c, g, params, NODE_OV, 2) == pytest.approx(
             0.31583729400284793, rel=1e-12)
 
@@ -256,7 +266,8 @@ class TestGAslt:
         g = DirectedGraph(3, [(0, 2), (1, 2)])
         c = Cascade([(0, 0.0)], 2.0)
         params = AsltParams.per_link(
-            {(0, 2): 0.3, (1, 2): 0.3}, {(0, 2): 1.0, (1, 2): 1.0})
+            g, link_array(g, "q", {(0, 2): 0.3, (1, 2): 0.3}),
+            link_array(g, "r", {(0, 2): 1.0, (1, 2): 1.0}))
         assert loglik("aslt", g, params, LINK, [c]) == pytest.approx(
             math.log(0.7406005849709838), rel=1e-12)
 
@@ -281,7 +292,8 @@ class TestGAslt:
         g = DirectedGraph(3, [(0, 2), (1, 2)])
         c = Cascade([(0, 0.0)], 1e9)
         params = AsltParams.per_link(
-            {(0, 2): 0.3, (1, 2): 0.3}, {(0, 2): 1.0, (1, 2): 1.0})
+            g, link_array(g, "q", {(0, 2): 0.3, (1, 2): 0.3}),
+            link_array(g, "r", {(0, 2): 1.0, (1, 2): 1.0}))
         assert math.exp(loglik("aslt", g, params, LINK, [c])) == pytest.approx(
             0.7, abs=1e-12)
 
@@ -336,13 +348,12 @@ class TestLoglik:
 
     @pytest.mark.parametrize("model", ["asic", "aslt"])
     def test_per_link_params_must_cover_every_edge(self, model):
-        # The data touch only 0 -> 1; the map misses 2 -> 3.
+        # The data would touch only 0 -> 1; the map misses 2 -> 3.
         g = DirectedGraph(4, [(0, 1), (2, 3)])
-        c = Cascade([(0, 0.0), (1, 1.0)], 2.0)
         cls = AsicParams if model == "asic" else AsltParams
-        params = cls.per_link({(0, 1): 0.5}, {(0, 1): 1.0, (2, 3): 1.0})
         with pytest.raises(ParameterError, match=r"link \(2, 3\)"):
-            loglik(model, g, params, LINK, [c])
+            cls.per_link(g, link_array(g, "p", {(0, 1): 0.5}),
+                         link_array(g, "r", {(0, 1): 1.0, (2, 3): 1.0}))
 
     def test_out_of_range_node_rejected(self, chain2):
         c = Cascade([(0, 0.0), (5, 1.0)], 5.0)
@@ -370,7 +381,8 @@ class TestLoglik:
             children = {v: list(g.out_adj[v]) for v in range(n)}
             p_map = {e: rng.uniform(0.05, 0.95) for e in g.edges}
             r_map = {e: rng.uniform(0.2, 3.0) for e in g.edges}
-            asic = AsicParams.per_link(p_map, r_map)
+            asic = AsicParams.per_link(g, link_array(g, "p", p_map),
+                                       link_array(g, "r", r_map))
             got = loglik("asic", g, asic, LINK, cascades)
             want = loglik_asic_direct(parents, children, event_dicts,
                                       lambda u, v: p_map[(u, v)],

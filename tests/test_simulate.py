@@ -9,6 +9,7 @@ from difflab import (AsicParams, AsltParams, DelayMode, DirectedGraph,
                      GraphValidationError, ParameterError,
                      SimulationProgressError, effective_parents,
                      generate_training_set, simulate_asic, simulate_aslt)
+from difflab.params import link_array
 from difflab.rng import derive_rng
 from difflab.simulate import _run_asic, _run_aslt, _RunTables
 
@@ -98,7 +99,9 @@ class TestAsicBasics:
 
 class TestAsltBasics:
     def test_full_weight_single_parent_always_activates(self, chain2):
-        params = AsltParams.per_link({(0, 1): 1.0}, {(0, 1): 1.0})
+        params = AsltParams.per_link(
+            chain2, link_array(chain2, "q", {(0, 1): 1.0}),
+            link_array(chain2, "r", {(0, 1): 1.0}))
         for i in range(50):
             c = simulate_aslt(chain2, params, DelayMode.LINK, [0], (13, i))
             assert 1 in c
@@ -108,7 +111,9 @@ class TestAsltBasics:
             AsltParams.shared(0.0, 1.0)
 
     def test_activation_rate_matches_weight(self, chain2):
-        params = AsltParams.per_link({(0, 1): 0.3}, {(0, 1): 1.0})
+        params = AsltParams.per_link(
+            chain2, link_array(chain2, "q", {(0, 1): 0.3}),
+            link_array(chain2, "r", {(0, 1): 1.0}))
         runs = 10_000
         hits = 0
         for i in range(runs):
@@ -259,17 +264,22 @@ class TestClosureLoopEquivalence:
         if delay is DelayMode.LINK:
             rates = {e: rng.uniform(0.5, 3.0) for e in g.edges}
         else:
-            rates = {v: rng.uniform(0.5, 3.0) for v in range(25)}
+            # Node delay: every in-link of v carries v's rate.
+            node_rate = {v: rng.uniform(0.5, 3.0) for v in range(25)}
+            rates = {(u, v): node_rate[v] for u, v in g.edges}
+        rates = link_array(g, "r", rates)
         if model == "asic":
             params = AsicParams.per_link(
-                {e: rng.uniform(0.2, 0.9) for e in g.edges}, rates)
+                g, link_array(g, "p",
+                              {e: rng.uniform(0.2, 0.9) for e in g.edges}),
+                rates)
         else:
             q = {}
             for v in range(25):
                 parents = g.in_adj[v]
                 share = rng.uniform(0.4, 1.0) / max(len(parents), 1)
                 q.update({(u, v): share for u in parents})
-            params = AsltParams.per_link(q, rates)
+            params = AsltParams.per_link(g, link_array(g, "q", q), rates)
         return g, params
 
     @pytest.mark.parametrize("delay", ALL_DELAYS)
