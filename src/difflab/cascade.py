@@ -185,10 +185,11 @@ def effective_parents(g, c: Cascade, v: int) -> set:
     other node is an error.
     """
     times = c._times
+    every = g.tails[g.in_edges[g.in_ptr[v]:g.in_ptr[v + 1]]].tolist()
     if v in times:
         tv = times[v]
-        return {u for u in g.in_adj[v] if u in times and times[u] < tv}
-    parents = {u for u in g.in_adj[v] if u in times}
+        return {u for u in every if u in times and times[u] < tv}
+    parents = {u for u in every if u in times}
     if not parents:
         raise CascadeError(
             f"node {v} is neither active nor adjacent to the cascade")

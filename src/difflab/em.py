@@ -10,8 +10,11 @@ point.
 Only the link-delay variant is learnable here; the sufficient statistics are
 the time gaps between parent and child activations plus the failure structure
 of each cascade.  Shared mode pools every link into one (p, r) or (q, r)
-pair; per-link mode keeps one parameter per edge, and edges never touched by
-the data keep their current values (counted as warnings).
+pair; per-link mode keeps one pair per edge id e, the link
+``g.tails[e] -> g.heads[e]``, and edges never touched by the data keep
+their current values (counted as warnings).  A fit keeps no per-iteration
+parameters: each problem's theta is taken when it stops, and its
+``EmTrace`` records the log-likelihood sequence.
 
 One loop serves both models and both modes, and ``fit`` and ``fit_batch``
 are its only entry points; the E and M passes are private.  ``loglik``,
@@ -46,7 +49,7 @@ import numpy as np
 from .cascade import check_in_graph
 from .errors import EstimationError, ParameterError
 from .params import (PER_LINK, SHARED, AsicParams, AsltParams, DelayMode,
-                     link_array)
+                     check_model, link_array)
 
 _log = logging.getLogger(__name__)
 
@@ -85,13 +88,12 @@ class EmConfig:
 class EmTrace:
     """Per-iteration record of a fit.
 
-    ``loglik[i]`` and ``params_history[i]`` describe the parameters after i
-    updates (index 0 is the initialization).  The log-likelihood sequence is
-    non-decreasing up to floating-point slack.
+    ``loglik[i]`` is the log-likelihood after i updates (index 0 is the
+    initialization).  The sequence is non-decreasing up to floating-point
+    slack.
     """
 
     loglik: list = field(default_factory=list)
-    params_history: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
     untouched_links: int = 0
@@ -626,12 +628,13 @@ def loglik(model: str, g, params, delay: DelayMode, data,
     """Total log-likelihood of a cascade set under link delay.
 
     This is the first E pass of a per-link ``fit`` at ``params``, spread
-    over ``g.edges`` (shared parameters too).  ``horizon_mode`` is
+    over edge ids (shared parameters too).  ``horizon_mode`` is
     ``fit``'s.  A factor of 0, such as an activation that no earlier
     active parent could have caused, gives -inf.  The node-delay variants
     have densities (``h_asic``, ``h_aslt``) but no total here.
     """
     _check_args(model, horizon_mode)
+    check_model(model, params)
     if delay is not DelayMode.LINK:
         raise ParameterError(
             "the total log-likelihood is only defined for link delay")
@@ -793,12 +796,12 @@ def _fit(model, g, problems, config, starts, finite):
     last = np.zeros(n, dtype=bool)  # stopped; awaiting the final E pass
     converged = np.zeros(n, dtype=bool)
     iterations = np.zeros(n, dtype=np.intp)
-    lls, thetas = [], []
+    final = [None] * n  # each problem's theta when it stopped
+    lls = []
     with np.errstate(**_QUIET):
         for it in range(config.max_iterations + 1):
             terms, ll, dens = e_pass(stats, at, theta)
             lls.append(ll)
-            thetas.append(theta)
             # A zero density makes its problem's loglik -inf, and one
             # non-finite loglik makes the sum non-finite.
             if not math.isfinite(np.add.reduce(ll)):
@@ -816,7 +819,7 @@ def _fit(model, g, problems, config, starts, finite):
             if not n_live:
                 break
             # Stopped problems keep updating until the passes drop them;
-            # their results are read from the history at their own stop.
+            # their results are read from the snapshots at their own stop.
             new = m_pass(stats, at, terms, theta)
             delta = at.step(new, theta)
             theta = new
@@ -837,6 +840,8 @@ def _fit(model, g, problems, config, starts, finite):
             else:
                 continue
             iterations[last] = it + 1
+            for b in np.flatnonzero(last).tolist():
+                final[b] = theta if per_link else (theta[0][b], theta[1][b])
             live = live & ~last
             n_live = np.count_nonzero(live)
             # Once half the problems in the passes have stopped, the passes
@@ -847,26 +852,13 @@ def _fit(model, g, problems, config, starts, finite):
                 at = _Problems(stats, at.problem, n)
 
     lls = np.array(lls)
-    if not per_link:
-        strengths = np.array([s for s, _ in thetas])
-        rates = np.array([r for _, r in thetas])
     results = []
     for b in range(n):
-        if b in errors:
-            results.append(errors[b])
-            continue
         k = int(iterations[b])
-        if per_link:
-            history = thetas[:k + 1]
-            params = _to_params(g, model, theta)
-        else:
-            history = list(zip(strengths[:k + 1, b].tolist(),
-                               rates[:k + 1, b].tolist()))
-            params = _to_params(g, model, history[-1])
-        results.append((params, EmTrace(
-            loglik=lls[:k + 1, b].tolist(), params_history=history,
-            converged=bool(converged[b]), iterations=k,
-            untouched_links=untouched)))
+        results.append(errors[b] if b in errors else (
+            _to_params(g, model, final[b]),
+            EmTrace(loglik=lls[:k + 1, b].tolist(), iterations=k,
+                    converged=bool(converged[b]), untouched_links=untouched)))
     return results
 
 
@@ -888,7 +880,8 @@ def save_params(path, model: str, params, g, iterations: int = 0,
            "iterations": int(iterations), "loglik": loglik_value}
     strength, r = params.strength, params.r
     if params.mode != SHARED:
-        keys = [f"{u},{v}" for u, v in g.edges]
+        keys = [f"{u},{v}" for u, v in zip(g.tails.tolist(),
+                                            g.heads.tolist())]
         strength, r = (dict(zip(keys, x.tolist())) for x in (strength, r))
     doc["p" if model == "asic" else "q"], doc["r"] = strength, r
     with open(path, "w", encoding="utf-8") as fh:

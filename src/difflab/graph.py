@@ -1,14 +1,13 @@
 """Directed-graph representation, edge-list ingestion, and synthetic graphs.
 
-Nodes are dense integers ``0..n-1`` internally so adjacency can be indexed by
-arrays in hot loops.  When a graph is read from an edge list with arbitrary
+A graph is stored once, as read-only CSR arrays over dense internal node
+ids ``0..n-1``.  When a graph is read from an edge list with arbitrary
 external ids, a remapping table is kept and used again on serialization.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import chain, pairwise
+from operator import index
 
 import numpy as np
 
@@ -16,69 +15,70 @@ from .errors import EdgeListParseError, GraphValidationError
 from .rng import derive_rng
 
 
-class DirectedGraph:
-    """Immutable directed graph without self-links.
+def _pair_array(edges, n):
+    """``edges`` as an (m, 2) ``np.intp`` array.  Raises naming the first
+    bad pair in input order: a self-link (even when out of range), an id
+    outside ``0..n-1``, or an id that is not an integer."""
+    pairs = edges if isinstance(edges, np.ndarray) else list(edges)
+    a = np.array(pairs) if len(pairs) else np.empty((0, 2), dtype=np.intp)
+    if a.dtype.kind not in "iu" or a.shape[1:] != (2,):
+        ids = []
+        for u, v in pairs:
+            try:
+                ids.append((index(u), index(v)))
+            except TypeError:
+                _pair_array(ids, n)  # a bad pair before this one comes first
+                raise GraphValidationError(f"edge ({u!r}, {v!r}): node ids "
+                                           "must be integers") from None
+        a = np.array(ids)
+    u, v = a[:, 0], a[:, 1]
+    bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    if bad.any():
+        u, v = int(u[bad][0]), int(v[bad][0])
+        raise GraphValidationError(
+            f"self-link ({u}, {v}) is not allowed" if u == v else
+            f"edge ({u}, {v}) references a node outside 0..{n - 1}")
+    return a.astype(np.intp, copy=False)
 
-    Edge ids are positions in the canonical order ``edges``, sorted by
-    (u, v).  The CSR index is built once, as read-only ``np.intp`` arrays.
+
+class DirectedGraph:
+    """Immutable directed graph without self-links, as read-only
+    ``np.intp`` CSR arrays.  Edge ids sort the links by (u, v).
 
     Attributes
     ----------
     node_count, edge_count : int
-    edges : tuple of (u, v) pairs in canonical order
-    out_adj : tuple of tuples, ``out_adj[u]`` holds the children of ``u``
-    in_adj : tuple of tuples, ``in_adj[v]`` holds the parents of ``v``
-    out_ptr, tails, heads : edges ``out_ptr[u]:out_ptr[u+1]`` leave ``u``,
-        and ``edges[e] == (tails[e], heads[e])``
+    out_ptr, tails, heads : edge e is the link ``tails[e] -> heads[e]``;
+        the children of u are ``heads[out_ptr[u]:out_ptr[u+1]]``, ascending
     in_ptr, in_edges, in_degree : ``in_edges[in_ptr[v]:in_ptr[v+1]]`` are
         the ids of the ``in_degree[v]`` edges into ``v``, parents ascending
     labels : tuple mapping internal id -> external id
     duplicate_count : number of duplicate input edges that were collapsed
     """
 
-    __slots__ = ("node_count", "edge_count", "edges", "out_adj", "in_adj",
-                 "out_ptr", "tails", "heads", "in_ptr", "in_edges",
-                 "in_degree", "labels", "duplicate_count")
+    __slots__ = ("node_count", "edge_count", "out_ptr", "tails", "heads",
+                 "in_ptr", "in_edges", "in_degree", "labels",
+                 "duplicate_count")
 
     def __init__(self, node_count, edges, labels=None, duplicate_count=0):
         node_count = int(node_count)
         if node_count < 0:
             raise GraphValidationError("node_count must be non-negative")
-        out = [set() for _ in range(node_count)]
-        given = 0
-        for u, v in edges:
-            u = int(u)
-            v = int(v)
-            if u == v:
-                raise GraphValidationError(f"self-link ({u}, {v}) is not allowed")
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise GraphValidationError(
-                    f"edge ({u}, {v}) references a node outside 0..{node_count - 1}")
-            out[u].add(v)
-            given += 1
-        out_adj = tuple(tuple(sorted(c)) for c in out)
+        pairs = _pair_array(edges, node_count)
         labels = tuple(range(node_count) if labels is None else labels)
         if len(labels) != node_count:
             raise GraphValidationError("labels length must equal node_count")
-        out_degree = np.fromiter(map(len, out_adj), dtype=np.intp,
-                                 count=node_count)
-        edge_count = int(out_degree.sum())
-        heads = np.fromiter(chain.from_iterable(out_adj), dtype=np.intp,
-                            count=edge_count)
-        tails = np.repeat(np.arange(node_count, dtype=np.intp), out_degree)
+        tails, heads = np.divmod(
+            np.unique(pairs[:, 0] * node_count + pairs[:, 1]),
+            max(node_count, 1))
         # Edge ids grow with the tail, so a stable sort by head keeps each
         # node's parents ascending.
         in_edges = np.argsort(heads, kind="stable")
         in_ptr = np.searchsorted(heads, np.arange(node_count + 1),
                                  sorter=in_edges)
-        parents = tails[in_edges].tolist()
         fields = {
             "node_count": node_count,
-            "edge_count": edge_count,
-            "edges": tuple(zip(tails.tolist(), heads.tolist())),
-            "out_adj": out_adj,
-            "in_adj": tuple(tuple(parents[a:b]) for a, b
-                            in pairwise(in_ptr.tolist())),
+            "edge_count": len(tails),
             "out_ptr": np.searchsorted(tails, np.arange(node_count + 1)),
             "tails": tails,
             "heads": heads,
@@ -86,7 +86,7 @@ class DirectedGraph:
             "in_ptr": in_ptr,
             "in_degree": np.diff(in_ptr),
             "labels": labels,
-            "duplicate_count": int(duplicate_count) + given - edge_count,
+            "duplicate_count": int(duplicate_count) + len(pairs) - len(tails),
         }
         for name, value in fields.items():
             if isinstance(value, np.ndarray):
@@ -97,22 +97,27 @@ class DirectedGraph:
         raise AttributeError("DirectedGraph is immutable")
 
     def __reduce__(self):
-        return (DirectedGraph, (self.node_count, self.edges,
+        return (DirectedGraph, (self.node_count,
+                                np.column_stack((self.tails, self.heads)),
                                 self.labels, self.duplicate_count))
 
     # -- basic queries ----------------------------------------------------
 
     def has_edge(self, u, v):
-        children = self.out_adj[u] if 0 <= u < self.node_count else ()
-        i = bisect_left(children, v)
-        return i < len(children) and children[i] == v
+        try:
+            return self.edge_id(u, v) >= 0
+        except KeyError:
+            return False
 
     def edge_id(self, u, v):
         """Position of edge (u, v) in the canonical edge order; raises
         ``KeyError`` if (u, v) is not an edge."""
-        if not self.has_edge(u, v):
-            raise KeyError((u, v))
-        return int(self.out_ptr[u]) + bisect_left(self.out_adj[u], v)
+        if 0 <= u < self.node_count:
+            lo, hi = self.out_ptr[u], self.out_ptr[u + 1]
+            e = lo + np.searchsorted(self.heads[lo:hi], v)
+            if e < hi and self.heads[e] == v:
+                return int(e)
+        raise KeyError((u, v))
 
     def __repr__(self):
         return f"DirectedGraph(nodes={self.node_count}, edges={self.edge_count})"
@@ -163,7 +168,8 @@ def load_edge_list(text: str) -> DirectedGraph:
 
 def dumps_edge_list(g: DirectedGraph) -> str:
     """Serialize a graph back to edge-list text using its external ids."""
-    lines = [f"{g.labels[u]} {g.labels[v]}" for u, v in g.edges]
+    lines = [f"{g.labels[u]} {g.labels[v]}"
+             for u, v in zip(g.tails.tolist(), g.heads.tolist())]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

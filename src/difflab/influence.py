@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .params import DelayMode
+from .params import DelayMode, check_model
 from .rng import derive_generator, derive_rng
 from .simulate import _RUNS, _RunTables
 
@@ -210,8 +210,7 @@ def influence_percolation(g, model: str, params, samples: int, rng_seed,
     """
     if samples < 1:
         raise ParameterError("samples must be at least 1")
-    if model not in ("asic", "aslt"):
-        raise ValueError(f"unknown model {model!r}")
+    check_model(model, params)
     n = g.node_count
     if threads > 1 and samples > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -256,8 +255,7 @@ def influence_direct_mc(g, model: str, params, delay: DelayMode,
     """
     if samples < 1:
         raise ParameterError("samples must be at least 1")
-    if model not in ("asic", "aslt"):
-        raise ValueError(f"unknown model {model!r}")
+    check_model(model, params)
     n = g.node_count
     if threads > 1 and n > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -15,11 +15,9 @@ log-likelihood are formed for link delay only, by the EM E passes
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 
-from .cascade import effective_parents
 from .errors import CascadeError
-from .params import DelayMode
+from .params import DelayMode, check_model
 
 
 def x_density_asic(p: float, r: float, dt: float) -> float:
@@ -56,12 +54,13 @@ def _parents(c, g, params, delay, v):
     tv = c.time_of(v)
     if tv == c.initial_time:
         return None
-    strength, rate = params.edge_values(
-        g, delay, g.in_edges[g.in_ptr[v]:g.in_ptr[v + 1]])
+    edges = g.in_edges[g.in_ptr[v]:g.in_ptr[v + 1]]
+    strength, rate = params.edge_values(g, delay, edges)
     strength, rate = strength.tolist(), rate.tolist()
-    # v's i-th in-edge comes from its i-th parent, parents ascending.
-    ordered = sorted((c.time_of(u), bisect_left(g.in_adj[v], u))
-                     for u in effective_parents(g, c, v))
+    # The effective parents: those active strictly before v.
+    ordered = sorted((c.time_of(u), i)
+                     for i, u in enumerate(g.tails[edges].tolist())
+                     if u in c and c.time_of(u) < tv)
     return [(tv - tu, strength[i], rate[i]) for tu, i in ordered]
 
 
@@ -75,6 +74,7 @@ def h_asic(c, g, params, delay: DelayMode, v: int) -> float:
     prod(Y) * sum(X/Y).  Non-overridable node delay instead conditions on all
     earlier parents having failed outright.
     """
+    check_model("asic", params)
     parents = _parents(c, g, params, delay, v)
     if not parents:
         return 1.0 if parents is None else 0.0
@@ -108,6 +108,7 @@ def h_aslt(c, g, params, delay: DelayMode, v: int) -> float:
     Overridable node delay sums over which parent's weight tipped the
     threshold and which later parent's proposed reaction time came first.
     """
+    check_model("aslt", params)
     parents = _parents(c, g, params, delay, v)
     if not parents:
         return 1.0 if parents is None else 0.0

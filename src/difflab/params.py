@@ -6,19 +6,21 @@ parameter (diffusion probability ``p`` for the cascade model, link weight
 coefficient ``q`` for the threshold model).  Parameters come in two modes:
 
 * ``shared``   - one float per parameter for the whole network,
-* ``per_link`` - read-only float64 arrays aligned with ``g.edges``: entry e
-  belongs to link ``g.edges[e]``.  Rates are stored per link under every
-  delay mode.
+* ``per_link`` - read-only float64 arrays over edge ids: entry e belongs
+  to the link ``g.tails[e] -> g.heads[e]``.  Rates are stored per link
+  under every delay mode.
 
 ``edge_values`` is the one reader of parameter values: it spreads either
 mode over edge ids.  ``link_array`` turns a ``{(u, v): value}`` map, the
-form of per-link parameter files, into an edge array.
+form of per-link parameter files, into an edge array.  ``check_model``
+refuses the parameters of one model where the other model's are needed.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from operator import index
 
 import numpy as np
 
@@ -43,44 +45,51 @@ class DelayMode(enum.Enum):
     NODE_OVERRIDE = "node-ov"
 
 
-def _number(name, value):
+def _number(name, value, link=None):
     """``value`` as a float; text and booleans, which ``float`` would
-    convert, are refused too."""
+    convert, are refused too, naming ``name[link]`` if a link is given."""
     if not isinstance(value, (str, bytes, bool)):
         try:
             return float(value)
         except (TypeError, ValueError):
             pass
-    raise ParameterError(f"{name} must be a number, got {value!r}")
+    where = name if link is None else f"{name}[{link}]"
+    raise ParameterError(f"{where} must be a number, got {value!r}")
 
 
 def link_array(g, name, values):
-    """A map from every link of ``g`` to a number, as a float64 array
-    aligned with ``g.edges``.  Keys are ``(u, v)`` pairs of internal node
-    ids, or ``"u,v"`` strings as in parameter files.  A malformed key, a
-    link missing from the map or absent from ``g``, and a value that is
-    not a number raise ``ParameterError``."""
+    """A map from every link of ``g`` to a number, as a float64 array over
+    edge ids.  Keys are ``(u, v)`` pairs of internal node ids, or ``"u,v"``
+    strings as in parameter files.  A malformed key, a link missing from
+    the map or absent from ``g``, and a value that is not a number raise
+    ``ParameterError``; of several defects, the first key in map order is
+    named."""
     malformed = ParameterError(f'per-link "{name}" must be an object '
                                'mapping "u,v" links to values')
     if not isinstance(values, dict):
         raise malformed
-    out = np.empty(g.edge_count)
-    given = np.zeros(g.edge_count, dtype=bool)
+    links = list(zip(g.tails.tolist(), g.heads.tolist()))
+    edge_ids = dict(zip(links, range(g.edge_count)))
+    ids, numbers = [], []
     for key, value in values.items():
         try:
-            u, v = map(int, key.split(",") if isinstance(key, str) else key)
+            u, v = (map(int, key.split(",")) if isinstance(key, str)
+                    else map(index, key))
         except (TypeError, ValueError):
             raise malformed from None
-        try:
-            e = g.edge_id(u, v)
-        except KeyError:
+        e = edge_ids.get((u, v))
+        if e is None:
             raise ParameterError(
-                f"{name}: link ({u}, {v}) is not in the graph") from None
-        out[e] = _number(f"{name}[{(u, v)}]", value)
-        given[e] = True
+                f"{name}: link ({u}, {v}) is not in the graph")
+        ids.append(e)
+        numbers.append(_number(name, value, (u, v)))
+    given = np.zeros(g.edge_count, dtype=bool)
+    given[ids] = True
     if not given.all():
-        u, v = g.edges[int(np.argmin(given))]
+        u, v = links[int(np.argmin(given))]
         raise ParameterError(f"{name}: no value for link ({u}, {v})")
+    out = np.empty(g.edge_count)
+    out[ids] = numbers
     return out
 
 
@@ -91,8 +100,9 @@ def _edge_floats(g, name, values):
         values = (values.tolist() if isinstance(values, np.ndarray)
                   else list(values))
         if len(values) == g.edge_count:
-            values = [_number(f"{name}[{g.edges[e]}]", x)
-                      for e, x in enumerate(values)]
+            links = zip(g.tails.tolist(), g.heads.tolist())
+            values = [_number(name, x, link)
+                      for link, x in zip(links, values)]
     if np.shape(values) != (g.edge_count,):
         raise ParameterError(f"{name} must hold one value per link "
                              f"({g.edge_count}), got {np.shape(values)}")
@@ -104,16 +114,17 @@ def _refuse(g, name, values, ok, what):
     or the shared value when ``g`` is None (``ok`` is then a bool)."""
     if ok is not True and not np.all(ok):
         e = int(np.argmin(ok))
-        where = name if g is None else f"{name}[{g.edges[e]}]"
+        where = (name if g is None else
+                 f"{name}[{(int(g.tails[e]), int(g.heads[e]))}]")
         raise ParameterError(
             f"{where} {what}, got {float(np.ravel(values)[e])}")
 
 
 class _Params:
     """Shared values are floats; per-link values are read-only float64
-    arrays over ``g.edges``.  Build with ``shared(strength, r)`` or with
-    ``per_link(g, strength, r)``, which takes one value per link in
-    ``g.edges`` order; both check the values."""
+    arrays over edge ids.  Build with ``shared(strength, r)`` or with
+    ``per_link(g, strength, r)``, which takes one value per link in edge
+    id order; both check the values."""
 
     __slots__ = ("mode", "r")
     _STRENGTH = ""
@@ -160,7 +171,7 @@ class _Params:
 
     def edge_values(self, g, delay: DelayMode, edges=None):
         """``(strength, rate)`` float64 arrays over edge ids ``edges``, or
-        over all of ``g.edges`` when ``edges`` is None.
+        over all edges of ``g`` when ``edges`` is None.
 
         The strength is the diffusion probability (cascade model) or the
         link weight (threshold model); a shared weight q splits over each
@@ -233,3 +244,14 @@ class AsltParams(_Params):
     @classmethod
     def per_link(cls, g, q, r):
         return cls._checked(g, q, r)
+
+
+def check_model(model, params):
+    """Raise ``ValueError`` unless ``model`` is "asic" or "aslt", and
+    ``ParameterError`` unless ``params`` is that model's class."""
+    cls = {"asic": AsicParams, "aslt": AsltParams}.get(model)
+    if cls is None:
+        raise ValueError(f"unknown model {model!r}")
+    if not isinstance(params, cls):
+        raise ParameterError(f"the {model} model needs {cls.__name__}, "
+                             f"got {type(params).__name__}")

@@ -19,11 +19,12 @@ from __future__ import annotations
 import math
 import random
 from heapq import heappush, heappop
+from itertools import pairwise
 
 from .cascade import Cascade, CascadeSet
 from .errors import (GraphValidationError, ParameterError,
                      SimulationProgressError)
-from .params import DelayMode
+from .params import DelayMode, check_model
 from .rng import derive_rng
 
 _LN = math.log
@@ -61,12 +62,10 @@ class _RunTables:
     __slots__ = ("rows", "min_rate")
 
     def __init__(self, g, model, params, delay):
-        if model not in ("asic", "aslt"):
-            raise ValueError(f"unknown model {model!r}")
+        check_model(model, params)
         strength, rate = params.edge_values(g, delay)
-        s, r, ptr = strength.tolist(), rate.tolist(), g.out_ptr.tolist()
-        self.rows = [tuple(zip(kids, s[a:b], r[a:b]))
-                     for kids, a, b in zip(g.out_adj, ptr, ptr[1:])]
+        links = list(zip(g.heads.tolist(), strength.tolist(), rate.tolist()))
+        self.rows = [links[a:b] for a, b in pairwise(g.out_ptr.tolist())]
         self.min_rate = float(rate.min()) if len(rate) else 1.0
 
 

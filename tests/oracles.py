@@ -31,6 +31,24 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 
+# -- graph structure, read off the CSR arrays ---------------------------------
+
+
+def edge_list(g):
+    """The links of ``g`` as ``(u, v)`` pairs, in edge id order."""
+    return list(zip(g.tails.tolist(), g.heads.tolist()))
+
+
+def parents(g, v):
+    """The parents of node ``v``, ascending."""
+    return g.tails[g.in_edges[g.in_ptr[v]:g.in_ptr[v + 1]]].tolist()
+
+
+def children(g, u):
+    """The children of node ``u``, ascending."""
+    return g.heads[g.out_ptr[u]:g.out_ptr[u + 1]].tolist()
+
+
 # -- direct density/likelihood transcriptions --------------------------------
 
 
@@ -150,10 +168,10 @@ def link_accessors(g, params):
         def strength_of(u, v):
             if hasattr(params, "p"):
                 return strength
-            return strength / len(g.in_adj[v])
+            return strength / len(parents(g, v))
 
         def slack_of(v):
-            return 1.0 - strength if g.in_adj[v] else 1.0
+            return 1.0 - strength if parents(g, v) else 1.0
 
         return strength_of, lambda u, v: params.r, slack_of
 
@@ -161,7 +179,7 @@ def link_accessors(g, params):
         return float(strength[g.edge_id(u, v)])
 
     def slack_of(v):
-        return max(0.0, 1.0 - sum(strength_of(u, v) for u in g.in_adj[v]))
+        return max(0.0, 1.0 - sum(strength_of(u, v) for u in parents(g, v)))
 
     return (strength_of, lambda u, v: float(params.r[g.edge_id(u, v)]),
             slack_of)
@@ -171,22 +189,22 @@ def loglik_direct(model, g, params, data, horizon_mode="infinite"):
     """The direct log-likelihood of ``data`` (a list of cascades) on graph
     ``g`` under link-delay ``params`` of either model, read through
     ``link_accessors``."""
-    parents = {v: list(g.in_adj[v]) for v in range(g.node_count)}
-    children = {v: list(g.out_adj[v]) for v in range(g.node_count)}
+    up = {v: parents(g, v) for v in range(g.node_count)}
+    down = {v: children(g, v) for v in range(g.node_count)}
     events = [dict(c.events) for c in data]
     horizons = [c.horizon for c in data]
     strength_of, r_of, slack_of = link_accessors(g, params)
     if model == "asic":
-        return loglik_asic_direct(parents, children, events, strength_of,
+        return loglik_asic_direct(up, down, events, strength_of,
                                   r_of, horizon_mode, horizons)
-    return loglik_aslt_direct(parents, children, events, horizons,
+    return loglik_aslt_direct(up, down, events, horizons,
                               strength_of, slack_of, r_of)
 
 
 def frontier(g, c):
     """Inactive nodes of cascade ``c`` with at least one active parent."""
     times = dict(c.events)
-    return {w for u in times for w in g.out_adj[u] if w not in times}
+    return {w for u in times for w in children(g, u) if w not in times}
 
 
 # -- exhaustive live-edge expectation ----------------------------------------
@@ -270,11 +288,11 @@ def random_consistent_cascades(g, rng, count):
         for _ in range(rng.randrange(0, g.node_count * 2)):
             candidates = [v for v in range(g.node_count)
                           if v not in times
-                          and any(u in times for u in g.in_adj[v])]
+                          and any(u in times for u in parents(g, v))]
             if not candidates:
                 break
             v = candidates[rng.randrange(len(candidates))]
-            earliest = min(times[u] for u in g.in_adj[v] if u in times)
+            earliest = min(times[u] for u in parents(g, v) if u in times)
             t = max(t, earliest) + rng.uniform(0.05, 1.0)
             times[v] = t
         horizon = t + rng.uniform(0.5, 3.0)
@@ -298,7 +316,7 @@ def em_stats_loop(g, data, model):
     Returns a dict of the builder's fields (the graph aside); raises
     ``ZeroProbabilityEvent`` where the builder raises its estimation error.
     """
-    edge_index = {e: i for i, e in enumerate(g.edges)}
+    edge_index = {e: i for i, e in enumerate(edge_list(g))}
     dts, groups, links, group_m, group_node = [], [], [], [], []
     fail_edges, fail_dts, fail_ms = [], [], []
     f_dts, f_groups, f_links = [], [], []
@@ -314,7 +332,7 @@ def em_stats_loop(g, data, model):
                 continue
             gid = len(group_m)
             opened = False
-            for u in g.in_adj[v]:
+            for u in parents(g, v):
                 tu = times.get(u)
                 if tu is None or tu >= tv:
                     continue
@@ -331,17 +349,17 @@ def em_stats_loop(g, data, model):
         horizon = c.horizon
         if model == "asic":
             for u, tu in c.events:
-                for w in g.out_adj[u]:
+                for w in children(g, u):
                     if w not in times:
                         fail_edges.append(edge_index[(u, w)])
                         fail_dts.append(horizon - tu)
                         fail_ms.append(m)
             continue
-        front = {w for u in times for w in g.out_adj[u] if w not in times}
+        front = {w for u in times for w in children(g, u) if w not in times}
         for v in sorted(front):
             fgid = len(f_group_m)
             k = 0
-            for u in g.in_adj[v]:
+            for u in parents(g, v):
                 tu = times.get(u)
                 if tu is None:
                     i_links.append(edge_index[(u, v)])
@@ -351,7 +369,7 @@ def em_stats_loop(g, data, model):
                 f_groups.append(fgid)
                 f_links.append(edge_index[(u, v)])
                 k += 1
-            f_group_nb.append(len(g.in_adj[v]))
+            f_group_nb.append(len(parents(g, v)))
             f_group_k.append(k)
             f_group_node.append(v)
             f_group_m.append(m)
@@ -364,7 +382,7 @@ def em_stats_loop(g, data, model):
         "n_groups": len(group_m),
         "group_m": np.asarray(group_m, **ints),
         "group_node": np.asarray(group_node, **ints),
-        "group_nb": np.asarray([len(g.in_adj[v]) for v in group_node],
+        "group_nb": np.asarray([len(parents(g, v)) for v in group_node],
                                **floats),
         "fail_edges": np.asarray(fail_edges, **ints),
         "fail_dt": np.asarray(fail_dts, **floats),
@@ -592,26 +610,27 @@ def percolation_per_world(g, model, params, samples, world_rng, chunks):
     processes would return them.
     """
     n = g.node_count
-    edge_u = np.asarray([e[0] for e in g.edges], dtype=np.intp)
-    edge_v = np.asarray([e[1] for e in g.edges], dtype=np.intp)
+    edges = edge_list(g)
+    edge_u = np.asarray([e[0] for e in edges], dtype=np.intp)
+    edge_v = np.asarray([e[1] for e in edges], dtype=np.intp)
     strength_of = link_accessors(g, params)[0]
     if model == "asic":
-        live_p = np.asarray([strength_of(u, v) for u, v in g.edges])
+        live_p = np.asarray([strength_of(u, v) for u, v in edges])
     else:
         ptr = np.zeros(n + 1, dtype=np.intp)
         flat_edge = []
         flat_cum = []
         for v in range(n):
             acc = 0.0
-            for u in g.in_adj[v]:
+            for u in parents(g, v):
                 acc += strength_of(u, v)
-                flat_edge.append(g.edges.index((u, v)))
+                flat_edge.append(edges.index((u, v)))
                 flat_cum.append(2.0 * v + min(acc, 1.0))
-            ptr[v + 1] = ptr[v] + len(g.in_adj[v])
+            ptr[v + 1] = ptr[v] + len(parents(g, v))
         flat_edge = np.asarray(flat_edge, dtype=np.intp)
         flat_cum = np.asarray(flat_cum, dtype=np.float64)
         parent_nodes = np.asarray(
-            [v for v in range(n) if len(g.in_adj[v]) > 0], dtype=np.intp)
+            [v for v in range(n) if parents(g, v)], dtype=np.intp)
         seg_end = ptr[parent_nodes + 1]
     total = np.zeros(n)
     total_sq = np.zeros(n)
@@ -657,12 +676,12 @@ class ClosureTables:
     """Per-node child, strength (probability or weight) and rate lists."""
 
     def __init__(self, g, model, params, delay):
-        self.children = g.out_adj
+        self.children = [children(g, u) for u in range(g.node_count)]
         strength_of, rate_of, _ = link_accessors(g, params)
         self.strength = [[strength_of(u, v) for v in kids]
-                         for u, kids in enumerate(g.out_adj)]
+                         for u, kids in enumerate(self.children)]
         self.rate = [[rate_of(u, v) for v in kids]
-                     for u, kids in enumerate(g.out_adj)]
+                     for u, kids in enumerate(self.children)]
 
 
 def run_asic_closures(tables, delay, seeds, rng, attempt_log=None):

@@ -25,8 +25,8 @@ from difflab import (AsicParams, AsltParams, Cascade, DelayMode, EmConfig,
 from difflab.params import link_array
 from difflab.rng import derive_rng
 
-from oracles import (loglik_asic_direct, loglik_aslt_direct,
-                     random_consistent_cascades)
+from oracles import (children, edge_list, loglik_asic_direct,
+                     loglik_aslt_direct, parents, random_consistent_cascades)
 
 LINK = DelayMode.LINK
 P_TRUE = 0.1
@@ -240,15 +240,15 @@ def test_criterion_06_likelihood_oracle_equivalence():
         raw, event_dicts, horizons = random_consistent_cascades(
             g, rng, rng.randrange(1, 4))
         cascades = [Cascade(ev, hz) for ev, hz in raw]
-        parents = {v: list(g.in_adj[v]) for v in range(n)}
-        children = {v: list(g.out_adj[v]) for v in range(n)}
-        p_map = {e: rng.uniform(0.05, 0.95) for e in g.edges}
-        r_map = {e: rng.uniform(0.2, 3.0) for e in g.edges}
+        up = {v: parents(g, v) for v in range(n)}
+        down = {v: children(g, v) for v in range(n)}
+        p_map = {e: rng.uniform(0.05, 0.95) for e in edge_list(g)}
+        r_map = {e: rng.uniform(0.2, 3.0) for e in edge_list(g)}
         asic = AsicParams.per_link(g, link_array(g, "p", p_map),
                                    link_array(g, "r", r_map))
         for mode in ("infinite", "finite"):
             got = loglik("asic", g, asic, LINK, cascades, horizon_mode=mode)
-            want = loglik_asic_direct(parents, children, event_dicts,
+            want = loglik_asic_direct(up, down, event_dicts,
                                       lambda u, v: p_map[(u, v)],
                                       lambda u, v: r_map[(u, v)],
                                       horizon_mode=mode, horizons=horizons)
@@ -257,9 +257,9 @@ def test_criterion_06_likelihood_oracle_equivalence():
         r = rng.uniform(0.3, 2.0)
         aslt = AsltParams.shared(q, r)
         got = loglik("aslt", g, aslt, LINK, cascades)
-        want = loglik_aslt_direct(parents, children, event_dicts, horizons,
-                                  lambda u, v: q / len(g.in_adj[v]),
-                                  lambda v: 1.0 - q if g.in_adj[v] else 1.0,
+        want = loglik_aslt_direct(up, down, event_dicts, horizons,
+                                  lambda u, v: q / len(up[v]),
+                                  lambda v: 1.0 - q if up[v] else 1.0,
                                   lambda u, v: r)
         mismatches += not close(got, want)
         checked += 1

@@ -11,7 +11,7 @@ from difflab.centrality import (betweenness_scores, closeness_scores,
 from difflab.rng import derive_rng
 
 from oracles import (betweenness_bruteforce, betweenness_dense,
-                     closeness_bfs, closeness_dense)
+                     closeness_bfs, closeness_dense, edge_list)
 
 # The package re-exports the function ``centrality`` under the module's name.
 centrality_module = importlib.import_module("difflab.centrality")
@@ -77,7 +77,7 @@ def _path(n):
 
 def _disconnected():
     """A random part, a directed cycle and an isolated node."""
-    part = erdos_renyi(30, 0.08, 304).edges
+    part = edge_list(erdos_renyi(30, 0.08, 304))
     cycle = [(30 + i, 30 + (i + 1) % 8) for i in range(8)]
     return DirectedGraph(39, list(part) + cycle)
 
@@ -107,23 +107,23 @@ class TestAgainstDenseCode:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_raw_betweenness_identical(self, shape):
         g = SHAPES[shape]()
-        want = betweenness_dense(g.node_count, g.edges)
+        want = betweenness_dense(g.node_count, edge_list(g))
         assert np.array_equal(betweenness_scores(g), want)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_closeness_identical(self, shape):
         g = SHAPES[shape]()
-        want = closeness_dense(g.node_count, g.edges)
+        want = closeness_dense(g.node_count, edge_list(g))
         assert np.array_equal(closeness_scores(g), want)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_normalized_betweenness(self, shape):
         g = SHAPES[shape]()
         got = betweenness_scores(g, normalized=True)
-        want = betweenness_dense(g.node_count, g.edges, normalized=True)
+        want = betweenness_dense(g.node_count, edge_list(g), normalized=True)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         if shape in SMALL:
-            want = betweenness_bruteforce(g.node_count, g.edges,
+            want = betweenness_bruteforce(g.node_count, edge_list(g),
                                           normalized=True)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -160,8 +160,8 @@ class TestBlockSize:
 def _two_parts(n):
     """Two random parts with no link between them, and two isolated nodes."""
     half = (n - 2) // 2
-    first = erdos_renyi(half, 4 / half, 314).edges
-    second = erdos_renyi(n - 2 - half, 4 / half, 315).edges
+    first = edge_list(erdos_renyi(half, 4 / half, 314))
+    second = edge_list(erdos_renyi(n - 2 - half, 4 / half, 315))
     return DirectedGraph(n, list(first)
                          + [(half + u, half + v) for u, v in second])
 
@@ -182,7 +182,7 @@ class TestClosenessWords:
     def test_matches_per_source_bfs(self, shape, n):
         g = WORD_SHAPES[shape](n)
         assert np.array_equal(closeness_scores(g),
-                              closeness_bfs(n, g.edges))
+                              closeness_bfs(n, edge_list(g)))
 
     def test_single_node(self):
         assert np.array_equal(closeness_scores(DirectedGraph(1, [])),
@@ -206,7 +206,7 @@ class TestClosenessWords:
 def _nx_graph(nx, g):
     G = nx.DiGraph()
     G.add_nodes_from(range(g.node_count))
-    G.add_edges_from(g.edges)
+    G.add_edges_from(edge_list(g))
     return G
 
 
@@ -248,7 +248,7 @@ class TestPagerank:
         g = erdos_renyi(25, 0.15, 32)
         perm = list(range(25))
         derive_rng(33, "perm").shuffle(perm)
-        g2 = DirectedGraph(25, [(perm[u], perm[v]) for u, v in g.edges])
+        g2 = DirectedGraph(25, [(perm[u], perm[v]) for u, v in edge_list(g)])
         s1 = pagerank_scores(g)
         s2 = pagerank_scores(g2)
         assert np.allclose(s1, s2[perm], atol=1e-8)

@@ -19,9 +19,10 @@ from difflab.params import PER_LINK, SHARED, link_array
 from difflab.rng import derive_rng
 
 from oracles import (ZeroProbabilityEvent, aslt_e_per_link_iblock,
-                     aslt_m_per_link_iblock, em_stats_loop,
-                     fit_aslt_per_link_iblock, frontier, link_accessors,
-                     loglik_direct, random_consistent_cascades)
+                     aslt_m_per_link_iblock, children, edge_list,
+                     em_stats_loop, fit_aslt_per_link_iblock, frontier,
+                     link_accessors, loglik_direct, parents,
+                     random_consistent_cascades)
 
 LINK = DelayMode.LINK
 
@@ -52,14 +53,15 @@ def _shared(strength, rate):
 
 def _per_link(g, strength, rate):
     """Edge-indexed theta from per-edge dicts."""
-    return (np.array([strength[e] for e in g.edges]),
-            np.array([rate[e] for e in g.edges]))
+    edges = edge_list(g)
+    return (np.array([strength[e] for e in edges]),
+            np.array([rate[e] for e in edges]))
 
 
 def _keys(stats, group_m, group, link):
     """(cascade, parent, child) of each entry of one block, given the
     block's per-group cascades and its entries' groups and edges."""
-    edges = stats.g.edges
+    edges = edge_list(stats.g)
     return [(m, *edges[e])
             for m, e in zip(group_m[group].tolist(), link.tolist())]
 
@@ -82,7 +84,8 @@ class TestEStepAsic:
         g = DirectedGraph(3, [(0, 1), (0, 2), (1, 2)])
         c = Cascade([(0, 0.0), (1, 0.5), (2, 1.0)], 10.0)
         stats, (alpha, _, _) = self._terms(g, [c], 0.5, 1.0)
-        assert [g.edges[e] for e in stats.link] == [(0, 1), (0, 2), (1, 2)]
+        assert ([edge_list(g)[e] for e in stats.link]
+                == [(0, 1), (0, 2), (1, 2)])
         assert alpha[1] == pytest.approx(0.4160075359551684, rel=1e-9)
         assert alpha[2] == pytest.approx(0.5839924640448317, rel=1e-9)
 
@@ -130,7 +133,7 @@ class TestMStepAsic:
                           {(0, 1): 1.0, (2, 3): 2.5})
         p, r = _asic_m_per_link(stats, at, _asic_e(stats, at, theta)[0],
                                 theta)
-        edge = {e: i for i, e in enumerate(g.edges)}
+        edge = {e: i for i, e in enumerate(edge_list(g))}
         assert p[edge[(2, 3)]] == pytest.approx(0.33)
         assert r[edge[(2, 3)]] == pytest.approx(2.5)
         assert p[edge[(0, 1)]] == pytest.approx(1.0)
@@ -150,7 +153,8 @@ class TestEStepAslt:
         stats = _Stats(g, data, "aslt")
         phi = _aslt_e_shared(stats, _one_problem(stats, data),
                              _shared(0.6, 1.0))[0][0]
-        assert [g.edges[e] for e in stats.link] == [(0, 1), (0, 2), (1, 2)]
+        assert ([edge_list(g)[e] for e in stats.link]
+                == [(0, 1), (0, 2), (1, 2)])
         assert phi[1] == pytest.approx(0.37754066879814546, rel=1e-9)
         assert phi[2] == pytest.approx(0.6224593312018546, rel=1e-9)
 
@@ -164,8 +168,8 @@ class TestEStepAslt:
         _, psi, varphi_slack, _, gvals = _aslt_e_per_link(
             stats, _Links(stats), theta)[0]
         i_link, i_group = stats.never_active()
-        assert [g.edges[e] for e in i_link] == [(1, 2)]
-        assert [g.edges[e] for e in stats.f_link] == [(0, 2)]
+        assert [edge_list(g)[e] for e in i_link] == [(1, 2)]
+        assert [edge_list(g)[e] for e in stats.f_link] == [(0, 2)]
         varphi_inact = theta[0][i_link] / gvals[i_group]
         assert varphi_slack[0] == pytest.approx(0.5401021928920995, rel=1e-9)
         assert varphi_inact[0] == pytest.approx(0.4050766446690746, rel=1e-9)
@@ -244,7 +248,7 @@ class TestStatsStructure:
                 act |= {(m, u, v) for u in effective_parents(g, c, v)}
             for v in frontier(g, c):
                 front_act |= {(m, u, v) for u in effective_parents(g, c, v)}
-                front_inact |= {(m, u, v) for u in g.in_adj[v] if u not in c}
+                front_inact |= {(m, u, v) for u in parents(g, v) if u not in c}
                 slack.add((m, v, v))
         assert act and front_act and front_inact
         for model in ("asic", "aslt"):
@@ -271,10 +275,10 @@ class TestStatsStructure:
                     touched |= {(u, v) for u in effective_parents(g, c, v)}
                 if model == "asic":
                     touched |= {(u, w) for u, _ in c.events
-                                for w in g.out_adj[u] if w not in c}
+                                for w in children(g, u) if w not in c}
                 else:
                     touched |= {(u, v) for v in frontier(g, c)
-                                for u in g.in_adj[v]}
+                                for u in parents(g, v)}
             _, trace = fit(model, g, data,
                            EmConfig(max_iterations=1, mode=PER_LINK))
             assert 0 < trace.untouched_links < g.edge_count
@@ -355,7 +359,7 @@ class TestStatsAgainstLoop:
         assert stats.group_m.tolist() == [1, 1, 1, 1, 4]
         assert stats.group_node.tolist() == [1, 2, 4, 5, 2]
         # Node 2 ties with parent 1 at t=0.5, so only 0 and 3 explain it.
-        assert [g.edges[e] for e in stats.link[stats.group == 1]] == [
+        assert [edge_list(g)[e] for e in stats.link[stats.group == 1]] == [
             (0, 2), (3, 2)]
 
     @pytest.mark.parametrize("model", ["asic", "aslt"])
@@ -379,7 +383,9 @@ class TestAsltSlack:
         g, _, data = _instance(seed + 30, "aslt")
         _, trace = fit("aslt", g, data,
                        EmConfig(max_iterations=1, mode=PER_LINK))
-        theta0 = trace.params_history[0]
+        start = EmConfig()
+        theta0 = AsltParams.shared(start.init_q, start.init_r).edge_values(
+            g, LINK)
         stats = _Stats(g, data, "aslt")
         terms, ll, _ = _aslt_e_per_link(stats, _Links(stats), theta0)
         assert ll[0] == trace.loglik[0]
@@ -387,7 +393,7 @@ class TestAsltSlack:
     def test_random_weights_some_summing_to_one(self):
         g, _, data = _instance(33, "aslt")
         rng = derive_rng(33, "slack")
-        raw = {e: rng.uniform(0.05, 1.0) for e in g.edges}
+        raw = {e: rng.uniform(0.05, 1.0) for e in edge_list(g)}
         total = {}
         for (u, v), w in raw.items():
             total[v] = total.get(v, 0.0) + w
@@ -396,7 +402,7 @@ class TestAsltSlack:
                  for v in total}
         theta = _per_link(
             g, {(u, v): w / total[v] * share[v] for (u, v), w in raw.items()},
-            {e: rng.uniform(0.5, 2.0) for e in g.edges})
+            {e: rng.uniform(0.5, 2.0) for e in edge_list(g)})
         stats = _Stats(g, data, "aslt")
         terms, _, _ = _aslt_e_per_link(stats, _Links(stats), theta)
         assert (terms[2] >= 0.0).all() and terms[2].min() < 1e-12
@@ -475,9 +481,9 @@ class TestPerLinkAsltOracle:
         i_link, i_group = loop["i_link"], loop["i_group"]
         rng = derive_rng(seed, "m-step")
         per_link = _per_link(
-            g, {(u, v): rng.uniform(0.1, 0.9) / len(g.in_adj[v])
-                for u, v in g.edges},
-            {e: rng.uniform(0.5, 2.0) for e in g.edges})
+            g, {(u, v): rng.uniform(0.1, 0.9) / len(parents(g, v))
+                for u, v in edge_list(g)},
+            {e: rng.uniform(0.5, 2.0) for e in edge_list(g)})
         # A shared start (0.7, 1.3) split over the in-edges, as ``fit``
         # starts a per-link fit.
         shared = (0.7 / g.in_degree[g.heads], np.full(g.edge_count, 1.3))
@@ -502,7 +508,7 @@ class TestPerLinkAsltOracle:
                           {(0, 1): 1.0, (1, 0): 2.0, (2, 1): 3.0})
         q, r = _aslt_m_per_link(stats, at, _aslt_e_per_link(stats, at,
                                                              theta)[0], theta)
-        edge = {e: i for i, e in enumerate(g.edges)}
+        edge = {e: i for i, e in enumerate(edge_list(g))}
         assert r.tolist() == theta[1].tolist()
         assert q[edge[(1, 0)]] == 0.5
         # Node 1's one frontier group: slack 0.25, (0, 1) still pending
@@ -545,7 +551,6 @@ class TestFitContract:
         g, params, data = _instance(5, "asic")
         fitted, trace = fit("asic", g, data, EmConfig(max_iterations=200))
         assert trace.converged
-        assert len(trace.params_history) == trace.iterations + 1
         assert len(trace.loglik) == trace.iterations + 1
 
     def test_max_iterations_one_does_one_update(self):
@@ -554,7 +559,7 @@ class TestFitContract:
                             EmConfig(max_iterations=1, tolerance=1e-12))
         assert trace.iterations == 1
         assert not trace.converged
-        assert len(trace.params_history) == 2
+        assert len(trace.loglik) == 2
 
     @pytest.mark.parametrize("model", ["asic", "aslt"])
     @pytest.mark.parametrize("mode", [SHARED, PER_LINK])
@@ -609,37 +614,26 @@ class TestFitContract:
     @pytest.mark.parametrize("model", ["asic", "aslt"])
     def test_trace_loglik_matches_likelihood_module(self, model):
         # The vectorized internal objective must equal the direct
-        # transcription at every recorded iterate.
+        # transcription at every iterate: a fit capped at k updates
+        # scores the parameters it returns last.
         g, params, data = _instance(7, model, n=15, target=40)
-        config = EmConfig(max_iterations=5, mode=SHARED)
-        fitted, trace = fit(model, g, data, config)
-        for snap, ll in zip(trace.params_history, trace.loglik):
-            if model == "asic":
-                snap_params = AsicParams.shared(*snap)
-            else:
-                snap_params = AsltParams.shared(*snap)
-            want = loglik_direct(model, g, snap_params, data)
-            assert ll == pytest.approx(want, rel=1e-10)
+        for k in range(1, 6):
+            fitted, trace = fit(model, g, data,
+                                EmConfig(max_iterations=k, mode=SHARED))
+            assert trace.iterations == k
+            want = loglik_direct(model, g, fitted, data)
+            assert trace.loglik[-1] == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("model", ["asic", "aslt"])
     def test_trace_loglik_matches_likelihood_module_per_link(self, model):
         g, params, data = _instance(8, model, n=12, target=30)
-        config = EmConfig(max_iterations=3, mode=PER_LINK)
-        fitted, trace = fit(model, g, data, config)
-        edges = list(g.edges)
-        for snap, ll in zip(trace.params_history, trace.loglik):
-            s_map = {e: float(snap[0][i]) for i, e in enumerate(edges)}
-            r_map = {e: float(snap[1][i]) for i, e in enumerate(edges)}
-            if model == "asic":
-                snap_params = AsicParams.per_link(
-                    g, link_array(g, "p", s_map), link_array(g, "r", r_map))
-            else:
-                snap_params = AsltParams.per_link(
-                    g, link_array(g, "q", {e: max(val, 1e-12)
-                                           for e, val in s_map.items()}),
-                    link_array(g, "r", r_map))
-            want = loglik_direct(model, g, snap_params, data)
-            assert ll == pytest.approx(want, rel=1e-10)
+        for k in range(1, 4):
+            fitted, trace = fit(model, g, data,
+                                EmConfig(max_iterations=k, mode=PER_LINK))
+            assert trace.iterations == k
+            # The returned per-link weights are floored at 1e-12.
+            want = loglik_direct(model, g, fitted, data)
+            assert trace.loglik[-1] == pytest.approx(want, rel=1e-10)
 
 
 class TestMonotonicity:
@@ -872,6 +866,29 @@ class TestPerLinkParams:
             link_array(fan_in, "r", {"0,2": 1.0, "1,2": 1.0, "2,0": 1.0})
         assert np.array_equal(link_array(fan_in, "r", {"1,2": 3, (0, 2): 2}),
                               [2.0, 3.0])
+
+    @pytest.mark.parametrize("values, message", [
+        ({"2,0": 1.0, "x": 1.0}, r"r: link \(2, 0\) is not in the graph"),
+        ({"x": 1.0, "2,0": 1.0}, 'per-link "r" must be an object'),
+        ({"0,2": "a", "2,0": 1.0}, r"r\[\(0, 2\)\] must be a number"),
+        ({"2,0": "a", "0,2": "b"}, r"r: link \(2, 0\) is not in the graph"),
+        ({"0,2": 1.0, "0,5": 1.0, "1,2": True}, r"link \(0, 5\) is not in"),
+        ({"0,2": 1.0, "1,2": True, "0,5": 1.0},
+         r"r\[\(1, 2\)\] must be a number, got True"),
+        ({(0, 2): 1.0, (2, -1): 1.0, (1, 2): 1.0},
+         r"link \(2, -1\) is not in the graph"),
+        ({"0,2": 1.0, "1,2": 1.0, "-1,8": "x"},
+         r"link \(-1, 8\) is not in the graph"),
+        ({(0, 2): 1.0, (1.7, 2): 1.0}, 'per-link "r" must be an object'),
+        ({(0, 2.0): 1.0, "2,0": 1.0}, 'per-link "r" must be an object'),
+    ])
+    def test_link_array_names_the_first_bad_key(self, fan_in, values,
+                                                message):
+        # The flat keys u * 3 + v of (0, 5), (2, -1) and (-1, 8) equal that
+        # of link (1, 2), yet they name no link of the graph.  Tuple ids
+        # must be integers: (1.7, 2) is not read as link (1, 2).
+        with pytest.raises(ParameterError, match=message):
+            link_array(fan_in, "r", values)
 
     @pytest.mark.parametrize("model", ["asic", "aslt"])
     def test_edge_values(self, model):

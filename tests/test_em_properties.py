@@ -13,11 +13,10 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from difflab import (AsicParams, AsltParams, Cascade,  # noqa: E402
-                     DirectedGraph, EmConfig, EstimationError, fit,
-                     fit_batch)
+                     DelayMode, DirectedGraph, EmConfig, EstimationError,
+                     fit, fit_batch)
 from difflab.em import (_Links, _Stats, _aslt_e_per_link,  # noqa: E402
                         _aslt_m_per_link)
-from difflab.params import link_array  # noqa: E402
 
 from oracles import (aslt_e_per_link_iblock,  # noqa: E402
                      aslt_m_per_link_iblock, em_stats_loop, loglik_direct,
@@ -78,10 +77,8 @@ def test_first_fit_loglik_equals_loglik(case, model, mode, horizon_mode):
             t == c.initial_time for c in data for _, t in c.events)
         return
     if mode == "per_link":
-        strength, rate = trace.params_history[0]
-        start = cls.per_link(
-            g, link_array(g, "s", dict(zip(g.edges, strength.tolist()))),
-            link_array(g, "r", dict(zip(g.edges, rate.tolist()))))
+        # A per-link fit starts from the shared start spread over the edges.
+        start = cls.per_link(g, *start.edge_values(g, DelayMode.LINK))
     want = loglik_direct(model, g, start, data, horizon_mode)
     # Each cascade has at most one log term per event and one per edge;
     # terms that match to 1e-12 each do not give a relative bound on a
@@ -126,7 +123,7 @@ def per_link_aslt_cases(draw):
         q[edges] = weights
     # Delays far longer than any window, ordinary ones and very short ones.
     r = np.array([rng.choice([1e-6, rng.uniform(0.2, 3.0), 50.0])
-                  for _ in g.edges])
+                  for _ in range(g.edge_count)])
     return g, data, (q, r)
 
 

@@ -11,9 +11,9 @@ from difflab.influence import _block_reachable_sizes
 from difflab.params import link_array
 from difflab.rng import derive_generator, derive_rng
 
-from oracles import (ClosureTables, exact_sigma_asic, exact_sigma_aslt,
-                     percolation_per_world, reachable_from, run_asic_closures,
-                     run_aslt_closures)
+from oracles import (ClosureTables, edge_list, exact_sigma_asic,
+                     exact_sigma_aslt, parents, percolation_per_world,
+                     reachable_from, run_asic_closures, run_aslt_closures)
 
 LINK = DelayMode.LINK
 
@@ -70,6 +70,18 @@ class TestReachableSizes:
 
 
 class TestPercolation:
+    @pytest.mark.parametrize("model, params, want", [
+        ("asic", AsltParams.shared(0.9, 1.0), "AsicParams"),
+        ("aslt", AsicParams.shared(0.9, 1.0), "AsltParams")])
+    def test_params_of_the_other_model_refused(self, model, params, want):
+        g = erdos_renyi(30, 0.1, 1)
+        message = (f"the {model} model needs {want}, "
+                   f"got {type(params).__name__}")
+        with pytest.raises(ParameterError, match=message):
+            influence_percolation(g, model, params, 20, 1)
+        with pytest.raises(ParameterError, match=message):
+            influence_direct_mc(g, model, params, LINK, 2, 1)
+
     def test_single_link_expectation(self, chain2):
         params = AsicParams.shared(0.5, 1.0)
         table = influence_percolation(chain2, "asic", params, 10_000, 3)
@@ -103,25 +115,26 @@ class TestPercolation:
                 continue
             g = DirectedGraph(n, edges)
             if model == "asic":
-                p_map = {e: rng.uniform(0.1, 0.7) for e in g.edges}
+                p_map = {e: rng.uniform(0.1, 0.7) for e in edge_list(g)}
                 params = AsicParams.per_link(
                     g, link_array(g, "p", p_map),
-                    link_array(g, "r", {e: 1.0 for e in g.edges}))
-                exact = exact_sigma_asic(n, g.edges, lambda u, v: p_map[(u, v)])
+                    link_array(g, "r", {e: 1.0 for e in edge_list(g)}))
+                exact = exact_sigma_asic(n, edge_list(g),
+                                         lambda u, v: p_map[(u, v)])
             else:
                 q_map = {}
                 for v in range(n):
-                    parents = g.in_adj[v]
-                    if parents:
-                        share = rng.uniform(0.3, 0.9) / len(parents)
-                        for u in parents:
+                    up = parents(g, v)
+                    if up:
+                        share = rng.uniform(0.3, 0.9) / len(up)
+                        for u in up:
                             q_map[(u, v)] = share
                 if not q_map:
                     continue
                 params = AsltParams.per_link(
                     g, link_array(g, "q", q_map),
-                    link_array(g, "r", {e: 1.0 for e in g.edges}))
-                exact = exact_sigma_aslt(n, g.edges,
+                    link_array(g, "r", {e: 1.0 for e in edge_list(g)}))
+                exact = exact_sigma_aslt(n, edge_list(g),
                                          lambda u, v: q_map[(u, v)])
             table = influence_percolation(g, model, params, 20_000,
                                           (203, trial))

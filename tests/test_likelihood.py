@@ -10,8 +10,9 @@ from difflab import (AsicParams, AsltParams, Cascade, CascadeError,
 from difflab.params import link_array
 from difflab.rng import derive_rng
 
-from oracles import (h_asic_sum_of_products, loglik_asic_direct,
-                     loglik_aslt_direct, random_consistent_cascades)
+from oracles import (children, edge_list, h_asic_sum_of_products,
+                     loglik_asic_direct, loglik_aslt_direct, parents,
+                     random_consistent_cascades)
 
 LINK = DelayMode.LINK
 NODE_NO = DelayMode.NODE_NON_OVERRIDE
@@ -298,6 +299,31 @@ class TestGAslt:
             0.7, abs=1e-12)
 
 
+class TestWrongParameterClass:
+    @pytest.mark.parametrize("model, params, want", [
+        ("asic", AsltParams.shared(0.9, 1.0), "AsicParams"),
+        ("aslt", AsicParams.shared(0.9, 1.0), "AsltParams")])
+    def test_loglik_refuses_the_other_models_params(self, two_parent_case,
+                                                     model, params, want):
+        g, c = two_parent_case
+        with pytest.raises(ParameterError, match=f"the {model} model needs "
+                           f"{want}, got {type(params).__name__}"):
+            loglik(model, g, params, LINK, [c])
+
+    @pytest.mark.parametrize("h, params, want", [
+        (h_asic, AsltParams.shared(0.9, 1.0), "the asic model needs "
+         "AsicParams, got AsltParams"),
+        (h_aslt, AsicParams.shared(0.9, 1.0), "the aslt model needs "
+         "AsltParams, got AsicParams")])
+    @pytest.mark.parametrize("delay", [LINK, NODE_NO, NODE_OV])
+    def test_h_refuses_the_other_models_params(self, two_parent_case, h,
+                                               params, want, delay):
+        g, c = two_parent_case
+        for v in (0, 2):
+            with pytest.raises(ParameterError, match=want):
+                h(c, g, params, delay, v)
+
+
 class TestLoglik:
     def test_isolated_seed_contributes_nothing(self):
         g = DirectedGraph(2, [])
@@ -377,20 +403,20 @@ class TestLoglik:
             cascades = [Cascade(ev, hz) for ev, hz in raw]
             if not cascades:
                 continue
-            parents = {v: list(g.in_adj[v]) for v in range(n)}
-            children = {v: list(g.out_adj[v]) for v in range(n)}
-            p_map = {e: rng.uniform(0.05, 0.95) for e in g.edges}
-            r_map = {e: rng.uniform(0.2, 3.0) for e in g.edges}
+            up = {v: parents(g, v) for v in range(n)}
+            down = {v: children(g, v) for v in range(n)}
+            p_map = {e: rng.uniform(0.05, 0.95) for e in edge_list(g)}
+            r_map = {e: rng.uniform(0.2, 3.0) for e in edge_list(g)}
             asic = AsicParams.per_link(g, link_array(g, "p", p_map),
                                        link_array(g, "r", r_map))
             got = loglik("asic", g, asic, LINK, cascades)
-            want = loglik_asic_direct(parents, children, event_dicts,
+            want = loglik_asic_direct(up, down, event_dicts,
                                       lambda u, v: p_map[(u, v)],
                                       lambda u, v: r_map[(u, v)])
             _assert_ll_close(got, want)
             got_fin = loglik("asic", g, asic, LINK, cascades,
                              horizon_mode="finite")
-            want_fin = loglik_asic_direct(parents, children, event_dicts,
+            want_fin = loglik_asic_direct(up, down, event_dicts,
                                           lambda u, v: p_map[(u, v)],
                                           lambda u, v: r_map[(u, v)],
                                           horizon_mode="finite",
@@ -400,9 +426,9 @@ class TestLoglik:
             aslt = AsltParams.shared(q, 0.9)
             got_lt = loglik("aslt", g, aslt, LINK, cascades)
             want_lt = loglik_aslt_direct(
-                parents, children, event_dicts, horizons,
-                lambda u, v: q / len(g.in_adj[v]),
-                lambda v: 1.0 - q if g.in_adj[v] else 1.0,
+                up, down, event_dicts, horizons,
+                lambda u, v: q / len(up[v]),
+                lambda v: 1.0 - q if up[v] else 1.0,
                 lambda u, v: 0.9)
             _assert_ll_close(got_lt, want_lt)
 

@@ -49,7 +49,7 @@ def _spread_cascade(n_extra=8, gap=0.5):
     used = {0}
     for _ in range(n_extra):
         nxt = None
-        for w in g.out_adj[node]:
+        for w in oracles.children(g, node):
             if w not in used:
                 nxt = w
                 break

@@ -257,7 +257,7 @@ def _fully_active_problem(g, source):
     are empty."""
     times, queue = {source: 0.0}, [source]
     for u in queue:
-        for v in g.out_adj[u]:
+        for v in oracles.children(g, u):
             if v not in times:
                 times[v] = times[u] + 0.5 + 0.01 * len(times)
                 queue.append(v)
@@ -269,7 +269,7 @@ class TestFitBatch:
     @pytest.mark.parametrize("horizon_mode", ["infinite", "finite"])
     def test_each_problem_equals_its_solo_fit(self, model, horizon_mode):
         g = erdos_renyi(20, 0.2, 7)
-        u, v = g.edges[0]
+        u, v = oracles.edge_list(g)[0]
         a, b = next((a, b) for a in range(20) for b in range(20)
                     if a != b and not g.has_edge(a, b))
         problems = [

@@ -7,13 +7,14 @@ from scipy import stats
 
 from difflab import (AsicParams, AsltParams, DelayMode, DirectedGraph,
                      GraphValidationError, ParameterError,
-                     SimulationProgressError, effective_parents,
+                     SimulationProgressError, effective_parents, erdos_renyi,
                      generate_training_set, simulate_asic, simulate_aslt)
 from difflab.params import link_array
 from difflab.rng import derive_rng
 from difflab.simulate import _run_asic, _run_aslt, _RunTables
 
-from oracles import ClosureTables, run_asic_closures, run_aslt_closures
+from oracles import (ClosureTables, edge_list, parents, run_asic_closures,
+                     run_aslt_closures)
 
 ALL_DELAYS = (DelayMode.LINK, DelayMode.NODE_NON_OVERRIDE,
               DelayMode.NODE_OVERRIDE)
@@ -210,6 +211,19 @@ class TestNodeDelayVariants:
 
 
 class TestGenerateTrainingSet:
+    @pytest.mark.parametrize("model, params, want", [
+        ("asic", AsltParams.shared(0.9, 1.0), "AsicParams"),
+        ("aslt", AsicParams.shared(0.9, 1.0), "AsltParams")])
+    def test_params_of_the_other_model_refused(self, model, params, want):
+        g = erdos_renyi(30, 0.1, 1)
+        message = (f"the {model} model needs {want}, "
+                   f"got {type(params).__name__}")
+        with pytest.raises(ParameterError, match=message):
+            generate_training_set(g, params, model, DelayMode.LINK, 20, 2, 1)
+        run = simulate_asic if model == "asic" else simulate_aslt
+        with pytest.raises(ParameterError, match=message):
+            run(g, params, DelayMode.LINK, [0], 1)
+
     def test_reaches_target_and_respects_min_len(self):
         g = DirectedGraph(30, [(i, (i + k) % 30) for i in range(30)
                                for k in (1, 2, 3)])
@@ -262,23 +276,24 @@ class TestClosureLoopEquivalence:
         g = DirectedGraph(25, [(u, v) for u in range(25) for v in range(25)
                                if u != v and rng.random() < 0.15])
         if delay is DelayMode.LINK:
-            rates = {e: rng.uniform(0.5, 3.0) for e in g.edges}
+            rates = {e: rng.uniform(0.5, 3.0) for e in edge_list(g)}
         else:
             # Node delay: every in-link of v carries v's rate.
             node_rate = {v: rng.uniform(0.5, 3.0) for v in range(25)}
-            rates = {(u, v): node_rate[v] for u, v in g.edges}
+            rates = {(u, v): node_rate[v] for u, v in edge_list(g)}
         rates = link_array(g, "r", rates)
         if model == "asic":
             params = AsicParams.per_link(
                 g, link_array(g, "p",
-                              {e: rng.uniform(0.2, 0.9) for e in g.edges}),
+                              {e: rng.uniform(0.2, 0.9)
+                               for e in edge_list(g)}),
                 rates)
         else:
             q = {}
             for v in range(25):
-                parents = g.in_adj[v]
-                share = rng.uniform(0.4, 1.0) / max(len(parents), 1)
-                q.update({(u, v): share for u in parents})
+                up = parents(g, v)
+                share = rng.uniform(0.4, 1.0) / max(len(up), 1)
+                q.update({(u, v): share for u in up})
             params = AsltParams.per_link(g, link_array(g, "q", q), rates)
         return g, params
 
