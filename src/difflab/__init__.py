@@ -28,8 +28,7 @@ from .errors import (CascadeError, DiffLabError, EdgeListParseError,
                      InsufficientDataError, ParameterError,
                      SimulationProgressError)
 from .graph import (DirectedGraph, dumps_edge_list, erdos_renyi,
-                    generate_synthetic, load_edge_list, mean_out_degree,
-                    preferential_attachment)
+                    load_edge_list, mean_out_degree, preferential_attachment)
 from .influence import (CumulativeInfluence, InfluenceTable,
                         cumulative_influence, influence_direct_mc,
                         influence_percolation)
@@ -38,8 +37,7 @@ from .likelihood import (h_asic, h_aslt, x_density_asic, x_density_aslt,
 from .params import (PER_LINK, SHARED, AsicParams, AsltParams, DelayMode,
                      link_array)
 from .select import (ObservationPeriods, SelectionReport,
-                     build_observation_periods, predictive_score,
-                     select_model, select_topics)
+                     build_observation_periods, select_model, select_topics)
 from .simulate import generate_training_set, simulate_asic, simulate_aslt
 
 __all__ = [name for name in dir() if not name.startswith("_")]

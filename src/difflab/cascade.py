@@ -12,8 +12,26 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import index
 
 from .errors import CascadeError
+
+
+_NOT_NUMBERS = (str, bytes, bool)
+
+
+def _event(e):
+    """``e`` as an (int node, float time) pair.  Node ids must be integers
+    and times numbers: text and booleans, which ``int`` and ``float`` would
+    convert, are refused."""
+    try:
+        v, t = e
+        if type(v) is not bool and not isinstance(t, _NOT_NUMBERS):
+            return index(v), float(t)
+    except (TypeError, ValueError):
+        pass
+    raise CascadeError(f"event {e!r} must be a (node, time) pair with an "
+                       "integer node and a numeric time")
 
 
 class Cascade:
@@ -22,8 +40,11 @@ class Cascade:
     __slots__ = ("events", "horizon", "_times")
 
     def __init__(self, events, horizon):
-        evs = sorted(((int(v), float(t)) for v, t in events),
-                     key=lambda e: (e[1], e[0]))
+        try:
+            evs = sorted(map(_event, events), key=lambda e: (e[1], e[0]))
+        except TypeError:
+            raise CascadeError("events must be a list of (node, time) "
+                               f"pairs, got {events!r}") from None
         times = {}
         for v, t in evs:
             if v in times:
@@ -31,7 +52,13 @@ class Cascade:
             if not math.isfinite(t):
                 raise CascadeError(f"activation time of node {v} is not finite")
             times[v] = t
-        horizon = float(horizon)
+        if not isinstance(horizon, _NOT_NUMBERS):
+            try:
+                horizon = float(horizon)
+            except (TypeError, ValueError):
+                pass
+        if type(horizon) is not float:
+            raise CascadeError(f"horizon must be a number, got {horizon!r}")
         if evs and horizon < evs[-1][1]:
             raise CascadeError(
                 f"horizon {horizon} precedes last activation {evs[-1][1]}")
@@ -83,8 +110,13 @@ class CascadeSet:
             self.ids = [str(i) for i in range(len(self.cascades))]
         if len(self.ids) != len(self.cascades):
             raise CascadeError("ids length must match cascades")
-        if self.topics is not None and len(self.topics) != len(self.cascades):
-            raise CascadeError("topics length must match cascades")
+        if self.topics is not None:
+            if len(self.topics) != len(self.cascades):
+                raise CascadeError("topics length must match cascades")
+            for cid, topic in zip(self.ids, self.topics):
+                if not isinstance(topic, str):
+                    raise CascadeError(f"cascade {cid}: topic must be a "
+                                       f"string, got {topic!r}")
 
     def __len__(self):
         return len(self.cascades)
@@ -145,10 +177,18 @@ def loads_cascades(text: str) -> CascadeSet:
         except json.JSONDecodeError as exc:
             raise CascadeError(f"line {lineno}: invalid JSON: {exc}") from None
         try:
+            if not isinstance(rec, dict):
+                raise CascadeError("expected a JSON object, got a "
+                                   f"{type(rec).__name__}")
             cascades.append(Cascade(rec["events"], rec["horizon"]))
             ids.append(str(rec.get("id", len(ids))))
+            if not isinstance(rec.get("topic", ""), str):
+                raise CascadeError(
+                    f"topic must be a string, got {rec['topic']!r}")
         except KeyError as exc:
             raise CascadeError(f"line {lineno}: missing field {exc}") from None
+        except CascadeError as exc:
+            raise CascadeError(f"line {lineno}: {exc}") from None
         if "topic" in rec:
             saw_topic = True
         topics.append(rec.get("topic"))

@@ -3,10 +3,11 @@
 These are the standard baselines influence rankings are compared against:
 out-degree, closeness (reciprocal mean distance), betweenness (number of
 shortest paths passing through a node), and the random-surfer stationary
-distribution.  All operate on unit edge lengths.  Betweenness and the
-random surfer run on scipy sparse matrices, and import scipy on their first
-call; out-degree, closeness (a bit-parallel sweep in numpy) and the ranking
-helpers never load it.
+distribution.  All operate on unit edge lengths and take no options; the
+random surfer's jump probability and stopping rule are module constants.
+Betweenness and the random surfer run on scipy sparse matrices, and import
+scipy on their first call; out-degree, closeness (a bit-parallel sweep in
+numpy) and the ranking helpers never load it.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ class RankedList:
 
     order: np.ndarray
     scores: np.ndarray
-
-    @property
-    def top(self):
-        return self.order
 
     def top_k(self, k):
         return set(int(v) for v in self.order[:k])
@@ -212,15 +209,18 @@ def betweenness_scores(g, normalized=False):
     return scores
 
 
-def pagerank_scores(g, eps: float = 0.15, tol: float = 1e-10,
-                    max_iter: int = 100_000):
-    """Stationary vector of the random surfer with uniform-jump probability eps.
+_JUMP = 0.15
+_TOLERANCE = 1e-10
+_MAX_ITERATIONS = 100_000
 
-    Power iteration until the L1 residual drops to ``tol``.  Dangling-node
-    mass is redistributed uniformly.
+
+def pagerank_scores(g):
+    """Stationary vector of the random surfer with uniform-jump probability
+    ``_JUMP``.
+
+    Power iteration until the L1 residual drops to ``_TOLERANCE``.
+    Dangling-node mass is redistributed uniformly.
     """
-    if not 0.0 < eps < 1.0:
-        raise ParameterError("pagerank jump probability must lie in (0, 1)")
     from scipy import sparse
     n = g.node_count
     adj = _adjacency(g)
@@ -230,17 +230,17 @@ def pagerank_scores(g, eps: float = 0.15, tol: float = 1e-10,
     transition = sparse.diags(inv) @ adj  # row-stochastic on non-dangling rows
     transition_t = transition.T.tocsr()
     x = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITERATIONS):
         spread = transition_t @ x + x[dangling].sum() / n
-        x_new = (1.0 - eps) * spread + eps / n
-        if np.abs(x_new - x).sum() <= tol:
+        x_new = (1.0 - _JUMP) * spread + _JUMP / n
+        if np.abs(x_new - x).sum() <= _TOLERANCE:
             x = x_new
             break
         x = x_new
     return x
 
 
-def centrality(g, metric: str, **options) -> RankedList:
+def centrality(g, metric: str) -> RankedList:
     """Rank all nodes by the requested topology-only score."""
     if g.node_count == 0:
         raise GraphValidationError("centrality undefined on an empty graph")
@@ -251,7 +251,7 @@ def centrality(g, metric: str, **options) -> RankedList:
     elif metric == "betweenness":
         scores = betweenness_scores(g)
     elif metric == "pagerank":
-        scores = pagerank_scores(g, **options)
+        scores = pagerank_scores(g)
     else:
         raise ParameterError(f"unknown centrality metric {metric!r}")
     return rank_by_score(scores)

@@ -23,7 +23,8 @@ from . import __version__
 from .cascade import CascadeSet, read_cascades, write_cascades
 from .centrality import METRICS, centrality, rank_by_score
 from .em import EmConfig, fit, load_params, param_error, save_params
-from .errors import DiffLabError, EstimationError, SimulationProgressError
+from .errors import (CascadeError, DiffLabError, EstimationError,
+                     SimulationProgressError)
 from .graph import load_edge_list
 from .influence import influence_direct_mc, influence_percolation
 from .params import PER_LINK, SHARED, AsicParams, AsltParams, DelayMode
@@ -76,7 +77,8 @@ def _write_manifest(out_path, command, config, seed, inputs, started):
 @contextmanager
 def _reading(path):
     """Report an input file that cannot be opened, decoded as UTF-8 or
-    parsed as JSON as an input error naming the file."""
+    parsed as JSON, or that holds a malformed cascade record or topic, as
+    an input error naming the file."""
     try:
         yield
     except OSError as exc:
@@ -87,6 +89,8 @@ def _reading(path):
     except json.JSONDecodeError as exc:
         raise DiffLabError(f"{path}: not valid JSON: {exc.msg} at line "
                            f"{exc.lineno} column {exc.colno}") from None
+    except CascadeError as exc:
+        raise CascadeError(f"{path}: {exc}") from None
 
 
 def _load_graph(path):
@@ -184,7 +188,8 @@ def _cmd_select(parser, args):
             raise DiffLabError(f"{args.topic_labels}: expected a JSON object "
                                "mapping cascade id to topic")
         topics = [label_map.get(cid, "default") for cid in data.ids]
-        data = CascadeSet(data.cascades, data.ids, topics)
+        with _reading(args.topic_labels):
+            data = CascadeSet(data.cascades, data.ids, topics)
     config = EmConfig(tolerance=args.tol, max_iterations=args.max_iter)
     reports = []
     results = select_topics(g, dict(sorted(data.by_topic().items())), config)

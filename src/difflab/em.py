@@ -7,10 +7,11 @@ that maximize the resulting surrogate objective.  Each update can only
 increase the data log-likelihood, so the iteration converges to a stationary
 point.
 
-Only the link-delay variant is learnable here; the sufficient statistics are
-the time gaps between parent and child activations plus the failure structure
-of each cascade.  Shared mode pools every link into one (p, r) or (q, r)
-pair; per-link mode keeps one pair per edge id e, the link
+Only the link-delay variant is learnable here, so ``fit`` and ``loglik``
+take no delay argument; the sufficient statistics are the time gaps between
+parent and child activations plus the failure structure of each cascade.
+Shared mode pools every link into one (p, r) or (q, r) pair; per-link mode
+keeps one pair per edge id e, the link
 ``g.tails[e] -> g.heads[e]``, and edges never touched by the data keep
 their current values (counted as warnings).  A fit keeps no per-iteration
 parameters: each problem's theta is taken when it stops, and its
@@ -21,7 +22,8 @@ are its only entry points; the E and M passes are private.  ``loglik``,
 the total log-likelihood under link delay, is the first E pass of a
 per-link fit: there is no second evaluation of it.  In shared mode
 it fits a batch of independent problems in lockstep (``fit_batch``;
-``fit`` is the batch of one): one statistics build over all their
+``fit`` is the batch of one, started from the config; only ``fit_batch``
+takes warm starts): one statistics build over all their
 cascades, theta as one (strength, rate) pair per problem, and each
 problem's own convergence test, cap and errors.  Each problem's entries
 form one contiguous run of every block, and a shared-mode total is a
@@ -623,7 +625,7 @@ def _to_params(g, model, theta):
     return cls.per_link(g, strength, r)
 
 
-def loglik(model: str, g, params, delay: DelayMode, data,
+def loglik(model: str, g, params, data,
            horizon_mode: str = "infinite") -> float:
     """Total log-likelihood of a cascade set under link delay.
 
@@ -631,14 +633,11 @@ def loglik(model: str, g, params, delay: DelayMode, data,
     over edge ids (shared parameters too).  ``horizon_mode`` is
     ``fit``'s.  A factor of 0, such as an activation that no earlier
     active parent could have caused, gives -inf.  The node-delay variants
-    have densities (``h_asic``, ``h_aslt``) but no total here.
+    have densities (``h_asic``, ``h_aslt``) but no total.
     """
     _check_args(model, horizon_mode)
     check_model(model, params)
-    if delay is not DelayMode.LINK:
-        raise ParameterError(
-            "the total log-likelihood is only defined for link delay")
-    theta = params.edge_values(g, delay)
+    theta = params.edge_values(g, DelayMode.LINK)
     try:
         stats = _Stats(g, data, model)
     except _ZeroProbability:
@@ -657,14 +656,13 @@ def loglik(model: str, g, params, delay: DelayMode, data,
 
 
 def fit(model: str, g, data, config: EmConfig | None = None,
-        delay: DelayMode = DelayMode.LINK, init_params=None,
         horizon_mode: str = "infinite"):
-    """Fit model parameters by alternating E and M steps.
+    """Fit link-delay model parameters by alternating E and M steps.
 
     Stops when the L1 change of the parameter vector drops to the configured
     tolerance, or at the iteration cap; a fit that reaches the cap logs a
     warning on the ``difflab.em`` logger.  Returns ``(params, EmTrace)``.
-    ``init_params`` warm-starts a shared-mode fit from an earlier solution.
+    The fit starts from ``config``; ``fit_batch`` takes warm starts.
 
     ``horizon_mode`` selects the survival factor of the cascade model's
     failure terms: "infinite" (default; appropriate when every cascade ran to
@@ -674,17 +672,12 @@ def fit(model: str, g, data, config: EmConfig | None = None,
 
     A shared-mode fit is ``fit_batch`` on a batch of one.
     """
-    if delay is not DelayMode.LINK:
-        raise EstimationError(
-            "learning is only supported for the link-delay variant")
     _check_args(model, horizon_mode)
     if config is None:
         config = EmConfig()
     if len(data) == 0:
         raise EstimationError("cannot fit on an empty cascade set")
-    if init_params is not None and config.mode != SHARED:
-        raise EstimationError("warm starts require shared mode")
-    (result,) = _fit(model, g, [data], config, [init_params],
+    (result,) = _fit(model, g, [data], config, [None],
                      horizon_mode == "finite")
     if isinstance(result, EstimationError):
         raise result

@@ -236,15 +236,3 @@ def preferential_attachment(n: int, m: int, seed: int) -> DirectedGraph:
         edges.append((b, a))
     return DirectedGraph(n, edges)
 
-
-def generate_synthetic(kind: str, n: int, density, seed: int) -> DirectedGraph:
-    """Generate a synthetic graph of the given kind.
-
-    ``kind`` is ``"erdos-renyi"`` (density = edge probability) or
-    ``"preferential-attachment"`` (density = attachments per node).
-    """
-    if kind == "erdos-renyi":
-        return erdos_renyi(n, float(density), seed)
-    if kind == "preferential-attachment":
-        return preferential_attachment(n, int(density), seed)
-    raise GraphValidationError(f"unknown synthetic graph kind: {kind!r}")

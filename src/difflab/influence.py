@@ -8,16 +8,20 @@ with its diffusion probability, while the threshold model lets every node
 keep at most one incoming link, chosen with its weight.  Worlds are
 processed in blocks: each world draws from its own substream, and a block is
 stacked into one block-diagonal live graph solved with array operations.
-Results do not depend on the block size, nor on ``threads``.  The direct
-estimator simply runs the full continuous-time
-simulation many times per seed; it is the slow oracle the percolation
-shortcut is validated against.  Only the percolation solver uses scipy, and
-it imports scipy on its first call, so the direct estimator never loads it.
+The direct estimator simply runs the full continuous-time simulation many
+times per seed; it is the slow oracle the percolation shortcut is validated
+against.  Only the percolation solver uses scipy, and it imports scipy on
+its first call, so the direct estimator never loads it.
+
+Both estimators run their ranges of worlds or seed nodes through one
+driver, ``_run_ranges``.  Every world and node draws from its own
+substream, so results depend neither on the block size nor on ``threads``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,9 +198,27 @@ def _mc_partial(g, model, params, delay, samples, rng_seed, node_lo, node_hi):
     return sigma, stderr
 
 
-def _chunk_ranges(total, threads):
+def _run_ranges(fn, args, total, threads):
+    """``fn(*args, lo, hi)`` over ranges that cover ``[0, total)``, with
+    the results in range order.
+
+    With ``threads == 1``, or when the pool would get one worker, one
+    range runs in this process.  Otherwise about four ranges per thread go
+    to a process pool of min(threads, CPU count, number of ranges) workers:
+    a fork start forks every worker at the first submit.
+    """
+    if threads < 1:
+        raise ParameterError("threads must be at least 1")
     per = max(1, -(-total // (threads * 4)))
-    return [(lo, min(lo + per, total)) for lo in range(0, total, per)]
+    ranges = [(lo, min(lo + per, total)) for lo in range(0, total, per)]
+    workers = min(threads, os.cpu_count() or 1, len(ranges))
+    if workers <= 1:
+        return [fn(*args, 0, total)]
+    # Imported here: the serial path never pays for it.
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *args, lo, hi) for lo, hi in ranges]
+        return [fut.result() for fut in futures]
 
 
 def influence_percolation(g, model: str, params, samples: int, rng_seed,
@@ -211,28 +233,13 @@ def influence_percolation(g, model: str, params, samples: int, rng_seed,
     if samples < 1:
         raise ParameterError("samples must be at least 1")
     check_model(model, params)
-    n = g.node_count
-    if threads > 1 and samples > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        total = np.zeros(n)
-        total_sq = np.zeros(n)
-        parts = []
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_percolation_partial, g, model, params,
-                                   rng_seed, lo, hi)
-                       for lo, hi in _chunk_ranges(samples, threads)]
-            for fut in futures:
-                part, part_sq, part_means = fut.result()
-                total += part
-                total_sq += part_sq
-                parts.append(part_means)
-        wmeans = np.concatenate(parts)
-    else:
-        total, total_sq, wmeans = _percolation_partial(
-            g, model, params, rng_seed, 0, samples)
+    totals, squares, means = zip(*_run_ranges(
+        _percolation_partial, (g, model, params, rng_seed), samples, threads))
+    # The sums hold integers, so they are exact in any order.
+    total, total_sq = sum(totals), sum(squares)
     wmean_sum = 0.0
     wmean_sq = 0.0
-    for wm in wmeans.tolist():
+    for wm in np.concatenate(means).tolist():
         wmean_sum += wm
         wmean_sq += wm * wm
     sigma = total / samples
@@ -257,22 +264,9 @@ def influence_direct_mc(g, model: str, params, delay: DelayMode,
         raise ParameterError("samples must be at least 1")
     check_model(model, params)
     n = g.node_count
-    if threads > 1 and n > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        sigma = np.zeros(n)
-        stderr = np.zeros(n)
-        ranges = _chunk_ranges(n, threads)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_mc_partial, g, model, params, delay,
-                                   samples, rng_seed, lo, hi)
-                       for lo, hi in ranges]
-            for (lo, hi), fut in zip(ranges, futures):
-                s, e = fut.result()
-                sigma[lo:hi] = s
-                stderr[lo:hi] = e
-    else:
-        sigma, stderr = _mc_partial(g, model, params, delay, samples,
-                                    rng_seed, 0, n)
+    sigmas, stderrs = zip(*_run_ranges(
+        _mc_partial, (g, model, params, delay, samples, rng_seed), n, threads))
+    sigma, stderr = np.concatenate(sigmas), np.concatenate(stderrs)
     # Runs are independent across nodes, so the mean's variance is additive.
     mean_se = math.sqrt(float((stderr ** 2).sum())) / n
     return InfluenceTable(sigma, stderr, samples, "direct-mc", model,

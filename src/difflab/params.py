@@ -147,6 +147,14 @@ class _Params:
         return getattr(self, self._STRENGTH)
 
     @classmethod
+    def shared(cls, strength, r):
+        return cls._checked(None, strength, r)
+
+    @classmethod
+    def per_link(cls, g, strength, r):
+        return cls._checked(g, strength, r)
+
+    @classmethod
     def _checked(cls, g, strength, r):
         """Shared parameters when ``g`` is None, else per-link ones."""
         name, closed = cls._STRENGTH, cls is AsicParams
@@ -216,14 +224,6 @@ class AsicParams(_Params):
     __slots__ = ("p",)
     _STRENGTH = "p"
 
-    @classmethod
-    def shared(cls, p, r):
-        return cls._checked(None, p, r)
-
-    @classmethod
-    def per_link(cls, g, p, r):
-        return cls._checked(g, p, r)
-
 
 class AsltParams(_Params):
     """Parameters of the asynchronous linear-threshold model.
@@ -236,14 +236,6 @@ class AsltParams(_Params):
 
     __slots__ = ("q",)
     _STRENGTH = "q"
-
-    @classmethod
-    def shared(cls, q, r):
-        return cls._checked(None, q, r)
-
-    @classmethod
-    def per_link(cls, g, q, r):
-        return cls._checked(g, q, r)
 
 
 def check_model(model, params):

@@ -12,8 +12,9 @@ lockstep by cutoff rank: the k-th cutoff of every topic goes into one
 shared-mode ``fit_batch`` call per model, warm-started from that topic's
 own previous cutoff.  Each shared-mode total is a segment sum over one
 topic's own entries, so a topic's report does not depend on which topics
-share its batch.  ``select_model`` and ``predictive_score`` are the batch
-of one topic.
+share its batch.  ``select_model`` is the batch of one topic, and its
+report's ``score_asic`` and ``score_aslt`` are the two models' predictive
+scores.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def _cut(data, tau):
     return held, [c for c in (c.truncated(tau) for c in data) if len(c)]
 
 
-def _lockstep_terms(g, topics, em_config, models=MODELS):
+def _lockstep_terms(g, topics, em_config):
     """The cutoff rows of every model on every topic.
 
     ``topics`` holds (data, periods) per topic, or ``None`` for a topic to
@@ -107,15 +108,15 @@ def _lockstep_terms(g, topics, em_config, models=MODELS):
     """
     if em_config is None:
         em_config = EmConfig()
-    rows = {m: [[] for _ in topics] for m in models}
-    prev = {m: [None] * len(topics) for m in models}
+    rows = {m: [[] for _ in topics] for m in MODELS}
+    prev = {m: [None] * len(topics) for m in MODELS}
     ranks = max((len(t[1]) for t in topics if t is not None), default=0)
     for k in range(ranks):
         cuts = {i: (t[1].cutoffs[k], *_cut(t[0], t[1].cutoffs[k]))
                 for i, t in enumerate(topics)
                 if t is not None and k < len(t[1])}
         batch = [i for i, (_, _, kept) in cuts.items() if kept]
-        for model in models:
+        for model in MODELS:
             # Looked up here, not at import: perfbench's tracer wraps them.
             h_model = h_asic if model == "asic" else h_aslt
             results = fit_batch(model, g, [cuts[i][2] for i in batch],
@@ -137,15 +138,10 @@ def _lockstep_terms(g, topics, em_config, models=MODELS):
     return rows
 
 
-def _require_shared(em_config):
-    if em_config is not None and em_config.mode != SHARED:
-        raise ParameterError(
-            "model selection refits in shared mode; got mode "
-            f"{em_config.mode!r}")
-
-
 def _score(model, rows):
-    """Mean negative log-density over the scored cutoff rows."""
+    """Mean negative log-density over the scored cutoff rows.  Cutoffs
+    whose truncation cannot be fitted are skipped, and a held-out density
+    of zero makes the score +inf."""
     total = 0.0
     n = 0
     for _, node, _, h, _ in rows:
@@ -157,20 +153,6 @@ def _score(model, rows):
         raise InsufficientDataError(
             f"no cutoff could be scored for model {model}")
     return total / n
-
-
-def predictive_score(model, g, data, periods, em_config=None) -> float:
-    """Mean negative log-density of the earliest held-out activation.
-
-    Cutoffs whose truncation cannot be fitted are skipped (the averaging
-    count shrinks accordingly).  A held-out density of zero makes the score
-    +inf.  Refits run in shared mode; a per-link ``em_config`` raises
-    ``ParameterError``.
-    """
-    _require_shared(em_config)
-    check_in_graph(g, data)
-    (rows,) = _lockstep_terms(g, [(data, periods)], em_config, (model,))[model]
-    return _score(model, rows)
 
 
 def _report(topic, rows):
@@ -222,7 +204,10 @@ def select_topics(g, topics, em_config=None) -> dict:
     no scored cutoff for a model.  Each report is the one the topic gets
     alone.
     """
-    _require_shared(em_config)
+    if em_config is not None and em_config.mode != SHARED:
+        raise ParameterError(
+            "model selection refits in shared mode; got mode "
+            f"{em_config.mode!r}")
     plans = {}
     for topic, data in topics.items():
         try:

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -6,6 +7,13 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from difflab import DirectedGraph, erdos_renyi  # noqa: E402
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Report four CPUs, so that ``threads`` of 2 or 3 still gets a real
+    process pool on a smaller host."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
 
 @pytest.fixture

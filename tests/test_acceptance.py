@@ -247,7 +247,7 @@ def test_criterion_06_likelihood_oracle_equivalence():
         asic = AsicParams.per_link(g, link_array(g, "p", p_map),
                                    link_array(g, "r", r_map))
         for mode in ("infinite", "finite"):
-            got = loglik("asic", g, asic, LINK, cascades, horizon_mode=mode)
+            got = loglik("asic", g, asic, cascades, horizon_mode=mode)
             want = loglik_asic_direct(up, down, event_dicts,
                                       lambda u, v: p_map[(u, v)],
                                       lambda u, v: r_map[(u, v)],
@@ -256,7 +256,7 @@ def test_criterion_06_likelihood_oracle_equivalence():
         q = rng.uniform(0.2, 1.0)
         r = rng.uniform(0.3, 2.0)
         aslt = AsltParams.shared(q, r)
-        got = loglik("aslt", g, aslt, LINK, cascades)
+        got = loglik("aslt", g, aslt, cascades)
         want = loglik_aslt_direct(up, down, event_dicts, horizons,
                                   lambda u, v: q / len(up[v]),
                                   lambda v: 1.0 - q if up[v] else 1.0,
@@ -292,7 +292,7 @@ def test_criterion_07_stationarity_at_convergence():
                                          max_attempts=200_000)
             fitted, _ = fit(model, g, data,
                             EmConfig(max_iterations=3000, tolerance=1e-9))
-            ll0 = loglik(model, g, fitted, LINK, data)
+            ll0 = loglik(model, g, fitted, data)
             for which in ("strength", "rate"):
                 if model == "asic":
                     base = fitted.p if which == "strength" else fitted.r
@@ -310,7 +310,7 @@ def test_criterion_07_stationarity_at_convergence():
                         pert = (AsltParams.shared(min(s, 1.0), fitted.r)
                                 if which == "strength"
                                 else AsltParams.shared(fitted.q, s))
-                    vals.append(loglik(model, g, pert, LINK, data))
+                    vals.append(loglik(model, g, pert, data))
                 grad = abs(vals[0] - vals[1]) / (2 * step)
                 rel = grad / abs(ll0)
                 worst = max(worst, rel)

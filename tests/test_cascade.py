@@ -3,7 +3,7 @@ import json
 import pytest
 
 from difflab import (AsicParams, AsltParams, Cascade, CascadeError,
-                     CascadeSet, DelayMode, DirectedGraph, dumps_cascades,
+                     CascadeSet, DirectedGraph, dumps_cascades,
                      effective_parents, fit, loads_cascades, loglik,
                      select_model)
 from difflab.em import _Stats
@@ -22,6 +22,22 @@ class TestCascade:
     def test_horizon_before_last_event_rejected(self):
         with pytest.raises(CascadeError):
             Cascade([(0, 0.0), (1, 5.0)], 4.0)
+
+    @pytest.mark.parametrize("events, horizon, part", [
+        ([(1.7, 0.5), (0, 0.0)], 2.0, "event (1.7, 0.5) must be a (node, "
+         "time) pair with an integer node and a numeric time"),
+        ([(True, 0.0)], 1.0, "event (True, 0.0)"),
+        ([(0, "0.5")], 1.0, "event (0, '0.5')"),
+        ([(0, 0.0, 1.0)], 2.0, "event (0, 0.0, 1.0)"),
+        (5, 1.0, "events must be a list of (node, time) pairs, got 5"),
+        ([(0, 0.0)], "1", "horizon must be a number, got '1'"),
+        ([(0, 0.0)], True, "horizon must be a number, got True"),
+        ([(0, 0.0)], None, "horizon must be a number, got None"),
+    ])
+    def test_malformed_input_rejected(self, events, horizon, part):
+        with pytest.raises(CascadeError) as info:
+            Cascade(events, horizon)
+        assert str(info.value).startswith(part)
 
     def test_simultaneous_seed_times_allowed(self):
         c = Cascade([(0, 0.0), (1, 0.0), (2, 1.0)], 2.0)
@@ -55,6 +71,33 @@ class TestCascadeSetIO:
     def test_invalid_json_line_reports_position(self):
         with pytest.raises(CascadeError, match="line 1"):
             loads_cascades("{not json}\n")
+
+    @pytest.mark.parametrize("text, want", [
+        ('{"events": [[0, 0.0]], "horizon": 1.0}\n'
+         '{"events": [[1.9, 0], [true, 1]], "horizon": 2}',
+         "line 2: event [1.9, 0] must be a (node, time) pair"),
+        ('{"events": [[0, "x"]], "horizon": 2}', "line 1: event [0, 'x']"),
+        ('{"events": 5, "horizon": 2}', "line 1: events must be a list"),
+        ('[[0, 0.0]]', "line 1: expected a JSON object, got a list"),
+        ('{"events": [[0, 0, 1]], "horizon": 2}', "line 1: event [0, 0, 1]"),
+        ('{"events": [[0, 0]], "horizon": null}',
+         "line 1: horizon must be a number, got None"),
+        ('{"events": [[0, 0]], "horizon": 1, "topic": ["x"]}',
+         "line 1: topic must be a string, got ['x']"),
+        ('{"events": [[0, 0]], "horizon": 1, "topic": "a"}\n'
+         '{"events": [[1, 0]], "horizon": 1, "topic": 1}',
+         "line 2: topic must be a string, got 1"),
+    ])
+    def test_malformed_record_names_its_line(self, text, want):
+        with pytest.raises(CascadeError) as info:
+            loads_cascades(text)
+        assert str(info.value).startswith(want)
+
+    def test_topics_must_be_strings(self):
+        with pytest.raises(CascadeError,
+                           match="cascade b: topic must be a string, got 1"):
+            CascadeSet([Cascade([(0, 0.0)], 0.0), Cascade([(1, 0.0)], 0.0)],
+                       ids=["a", "b"], topics=["x", 1])
 
     def test_by_topic_grouping(self):
         cs = CascadeSet([Cascade([(0, 0.0)], 0.0), Cascade([(1, 0.0)], 0.0)],
@@ -90,7 +133,7 @@ class TestNodesOutsideGraph:
         with pytest.raises(CascadeError, match=want):
             fit(model, g, data)
         with pytest.raises(CascadeError, match=want):
-            loglik(model, g, params, DelayMode.LINK, data)
+            loglik(model, g, params, data)
 
     def test_select_model(self, case):
         g, data, want = case

@@ -253,10 +253,6 @@ class TestPagerank:
         s2 = pagerank_scores(g2)
         assert np.allclose(s1, s2[perm], atol=1e-8)
 
-    def test_jump_probability_validated(self, chain2):
-        with pytest.raises(ParameterError):
-            pagerank_scores(chain2, eps=1.5)
-
     def test_dangling_mass_handled(self, chain3):
         scores = pagerank_scores(chain3)
         assert scores.sum() == pytest.approx(1.0, abs=1e-9)

@@ -202,6 +202,7 @@ class TestLearnSelect:
         assert sidecar["untouched_links"] > 0
 
     @pytest.mark.parametrize("model", ["asic", "aslt"])
+    @pytest.mark.usefixtures("four_cpus")
     def test_per_link_file_drives_simulate_and_influence(self, tmp_path,
                                                          graph_file, model):
         casc = self._make_cascades(tmp_path, graph_file, model)
@@ -531,6 +532,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("text, part", [
         ('{"a": "x",', "not valid JSON: "),
         ('["a", "x"]', "expected a JSON object"),
+        ('{"a": 1}', "cascade a: topic must be a string, got 1"),
     ])
     def test_malformed_topic_labels(self, tmp_path, capsys, text, part):
         graph = tmp_path / "g.txt"
@@ -543,6 +545,41 @@ class TestInputErrors:
         rc = _run(["select", "--graph", graph, "--cascades", casc,
                    "--topic-labels", labels, "--out", tmp_path / "s.json"])
         self._assert_error(capsys, rc, f"{labels}: ", part)
+
+
+    @pytest.mark.parametrize("record, part", [
+        ({"events": [[0, "x"]], "horizon": 2.0}, "line 1: event [0, 'x']"),
+        ({"events": 5, "horizon": 2.0}, "line 1: events must be a list"),
+        ([[0, 0.0]], "line 1: expected a JSON object, got a list"),
+        ({"events": [[0, 0.0, 1.0]], "horizon": 2.0},
+         "line 1: event [0, 0.0, 1.0]"),
+        ({"events": [[0, 0.0]], "horizon": None},
+         "line 1: horizon must be a number, got None"),
+        ({"events": [[0, 0.0], [1, 1.0]], "horizon": "2"},
+         "line 1: horizon must be a number, got '2'"),
+        ({"events": [[1.9, 0.0], [True, 1.0]], "horizon": 2.0},
+         "line 1: event [1.9, 0.0]"),
+        ({"events": [[0, 0.0], [1, 1.0]], "horizon": 2.0, "topic": ["x"]},
+         "line 1: topic must be a string, got ['x']"),
+    ])
+    @pytest.mark.parametrize("command", ["learn", "select"])
+    def test_malformed_cascade_file(self, tmp_path, capsys, record, part,
+                                    command):
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n1 2\n")
+        casc = tmp_path / "c.jsonl"
+        casc.write_text(json.dumps(record) + "\n")
+        argv = [command, "--graph", graph, "--cascades", casc,
+                "--out", tmp_path / "out.json"]
+        rc = _run(argv + (["--model", "asic"] if command == "learn" else []))
+        self._assert_error(capsys, rc, f"{casc}: {part}")
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one(self, tmp_path, capsys, graph_file, threads):
+        rc = _run(["influence", "--graph", graph_file, "--model", "asic",
+                   "--p", "0.2", "--r", "1.0", "--samples", "10", "--seed",
+                   "1", "--threads", threads, "--out", tmp_path / "i.csv"])
+        self._assert_error(capsys, rc, "threads must be at least 1")
 
 
 class TestScipyLoadedOnlyBySparseSolvers:

@@ -601,11 +601,6 @@ class TestFitContract:
         with pytest.raises(EstimationError):
             fit("asic", chain2, [])
 
-    def test_node_delay_fit_unsupported(self, chain2):
-        c = Cascade([(0, 0.0), (1, 1.0)], 10.0)
-        with pytest.raises(EstimationError):
-            fit("asic", chain2, [c], delay=DelayMode.NODE_OVERRIDE)
-
     def test_seed_only_data_unfittable(self, chain2):
         c = Cascade([(0, 0.0)], 1.0)
         with pytest.raises(EstimationError):
@@ -723,7 +718,7 @@ class TestFitQuality:
         g, truth, data = _instance(12, "asic", n=30, p_edge=0.12, target=300)
         fitted, trace = fit("asic", g, data,
                             EmConfig(max_iterations=2000, tolerance=1e-9))
-        ll0 = loglik("asic", g, fitted, LINK, data)
+        ll0 = loglik("asic", g, fitted, data)
         for which in ("p", "r"):
             base = getattr(fitted, which)
             step = 1e-5 * base
@@ -731,8 +726,8 @@ class TestFitQuality:
             for sign in (1, -1):
                 kw = {"p": fitted.p, "r": fitted.r}
                 kw[which] = base + sign * step
-                vals.append(loglik("asic", g, AsicParams.shared(**kw),
-                                   LINK, data))
+                vals.append(loglik("asic", g,
+                                   AsicParams.shared(kw["p"], kw["r"]), data))
             grad = (vals[0] - vals[1]) / (2 * step)
             assert abs(grad) <= 1e-3 * abs(ll0)
 
@@ -740,9 +735,9 @@ class TestFitQuality:
 class TestWarmStart:
     def test_warm_start_uses_previous_solution(self):
         g, truth, data = _instance(13, "asic", n=30, target=200)
-        fitted, trace = fit("asic", g, data, EmConfig(max_iterations=300))
-        refit, retrace = fit("asic", g, data, EmConfig(max_iterations=300),
-                             init_params=fitted)
+        config = EmConfig(max_iterations=300)
+        fitted, trace = fit("asic", g, data, config)
+        ((refit, retrace),) = fit_batch("asic", g, [data], config, [fitted])
         assert retrace.iterations <= 2
         assert refit.p == pytest.approx(fitted.p, rel=1e-4)
 

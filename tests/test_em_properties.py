@@ -188,13 +188,9 @@ def test_batched_fit_equals_solo_fit(case, model, horizon_mode):
     config = EmConfig(max_iterations=15)
     cls = AsicParams if model == "asic" else AsltParams
     starts = [None if s is None else cls.shared(*s) for _, s in problems]
-    solo = []
-    for (data, _), start in zip(problems, starts):
-        try:
-            solo.append(fit(model, g, data, config, init_params=start,
-                            horizon_mode=horizon_mode))
-        except EstimationError as exc:
-            solo.append(exc)
+    solo = [fit_batch(model, g, [data], config, [start],
+                      horizon_mode=horizon_mode)[0]
+            for (data, _), start in zip(problems, starts)]
     for batch in batches:
         got = fit_batch(model, g, [problems[b][0] for b in batch], config,
                         [starts[b] for b in batch], horizon_mode=horizon_mode)

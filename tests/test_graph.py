@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from difflab import (DirectedGraph, EdgeListParseError, GraphValidationError,
-                     dumps_edge_list, erdos_renyi, generate_synthetic,
-                     load_edge_list, mean_out_degree, preferential_attachment)
+                     dumps_edge_list, erdos_renyi, load_edge_list,
+                     mean_out_degree, preferential_attachment)
 from oracles import children, edge_list, parents
 
 
@@ -260,15 +260,15 @@ class TestMeanOutDegree:
 
 class TestSynthetic:
     def test_erdos_renyi_density_one_is_complete(self):
-        g = generate_synthetic("erdos-renyi", 10, 1.0, seed=1)
+        g = erdos_renyi(10, 1.0, seed=1)
         assert g.edge_count == 90
 
     def test_erdos_renyi_density_zero_is_empty(self):
-        g = generate_synthetic("erdos-renyi", 100, 0.0, seed=1)
+        g = erdos_renyi(100, 0.0, seed=1)
         assert g.edge_count == 0
 
     def test_preferential_attachment_bidirectional(self):
-        g = generate_synthetic("preferential-attachment", 1000, 3, seed=5)
+        g = preferential_attachment(1000, 3, seed=5)
         for u, v in edge_list(g):
             assert g.has_edge(v, u)
 
@@ -288,7 +288,9 @@ class TestSynthetic:
     @pytest.mark.parametrize("kind,density", [("erdos-renyi", 0.15),
                                               ("preferential-attachment", 3)])
     def test_generated_graphs_satisfy_invariants(self, kind, density):
-        g = generate_synthetic(kind, 60, density, seed=3)
+        make = {"erdos-renyi": erdos_renyi,
+                "preferential-attachment": preferential_attachment}[kind]
+        g = make(60, density, seed=3)
         for u, v in edge_list(g):
             assert u != v
             assert v in children(g, u) and u in parents(g, v)
@@ -307,5 +309,3 @@ class TestSynthetic:
             erdos_renyi(10, 1.5, seed=0)
         with pytest.raises(GraphValidationError):
             preferential_attachment(5, 5, seed=0)
-        with pytest.raises(GraphValidationError):
-            generate_synthetic("tree", 5, 1, seed=0)

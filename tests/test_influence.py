@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -149,6 +150,7 @@ class TestPercolation:
         assert (table.sigma >= 1.0).all()
         assert (table.sigma <= g.node_count).all()
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_deterministic_and_thread_invariant(self):
         g = erdos_renyi(25, 0.15, 8)
         params = AsicParams.shared(0.2, 1.0)
@@ -179,6 +181,7 @@ class TestPerWorldEquivalence:
 
     @pytest.mark.parametrize("model", ["asic", "aslt"])
     @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.usefixtures("four_cpus")
     def test_matches_per_world_loop(self, model, threads):
         g = erdos_renyi(40, 0.1, 21)
         params = self._params(model)
@@ -195,6 +198,7 @@ class TestPerWorldEquivalence:
         assert table.mean_stderr == mean_se
 
     @pytest.mark.parametrize("model", ["asic", "aslt"])
+    @pytest.mark.usefixtures("four_cpus")
     def test_mean_stderr_does_not_depend_on_threads(self, model):
         g = erdos_renyi(40, 0.1, 21)
         params = self._params(model)
@@ -268,6 +272,7 @@ class TestDirectMc:
         tol = 3 * np.sqrt(base.stderr**2 + fast.stderr**2) + 1e-9
         assert (gap <= tol).all()
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_thread_invariant(self):
         g = erdos_renyi(12, 0.2, 18)
         params = AsicParams.shared(0.3, 1.0)
@@ -279,6 +284,76 @@ class TestDirectMc:
         with pytest.raises(ParameterError):
             influence_direct_mc(chain2, "asic", AsicParams.shared(0.5, 1.0),
                                 LINK, 0, 1)
+
+
+class _RecordingPool:
+    """Stands in for ``ProcessPoolExecutor``: records ``max_workers`` and
+    runs each call in this process, so no worker process starts."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+class TestPoolSize:
+    """The pool gets min(threads, CPU count, number of ranges) workers."""
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        import concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        from concurrent.futures import ProcessPoolExecutor
+        assert ProcessPoolExecutor is _RecordingPool  # nothing can start
+        return _RecordingPool
+
+    @pytest.mark.parametrize("threads, cpus, want", [
+        (64, 2, [2]), (3, 64, [3]), (64, 64, [6]), (2, 1, [])])
+    def test_direct_mc(self, pool, monkeypatch, threads, cpus, want):
+        # Six nodes make six ranges: the pool is capped by the work too.
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        g = erdos_renyi(6, 0.3, 23)
+        params = AsicParams.shared(0.4, 1.0)
+        one = influence_direct_mc(g, "asic", params, LINK, 5, 24)
+        got = influence_direct_mc(g, "asic", params, LINK, 5, 24,
+                                  threads=threads)
+        assert pool.sizes == want
+        assert got.sigma.tobytes() == one.sigma.tobytes()
+
+    def test_percolation(self, pool, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        g = erdos_renyi(10, 0.2, 25)
+        params = AsltParams.shared(0.7, 1.0)
+        one = influence_percolation(g, "aslt", params, 3, 26)
+        got = influence_percolation(g, "aslt", params, 3, 26, threads=64)
+        assert pool.sizes == [2]
+        assert got.sigma.tobytes() == one.sigma.tobytes()
+        assert got.mean_stderr == one.mean_stderr
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_refused(self, pool, chain2, threads):
+        params = AsicParams.shared(0.5, 1.0)
+        with pytest.raises(ParameterError, match="threads must be at least"):
+            influence_percolation(chain2, "asic", params, 10, 1,
+                                  threads=threads)
+        with pytest.raises(ParameterError, match="threads must be at least"):
+            influence_direct_mc(chain2, "asic", params, LINK, 10, 1,
+                                threads=threads)
+        assert pool.sizes == []
 
 
 class TestCumulativeInfluence:

@@ -185,28 +185,28 @@ class TestGAsic:
     def test_no_inactive_children_gives_one(self, chain2):
         c = Cascade([(0, 0.0), (1, 1.0)], 10.0)
         params = AsicParams.shared(0.5, 1.0)
-        assert loglik("asic", chain2, params, LINK, [c]) == pytest.approx(
+        assert loglik("asic", chain2, params, [c]) == pytest.approx(
             math.log(h_asic(c, chain2, params, LINK, 1)), rel=1e-12)
 
     def test_two_inactive_children_infinite_mode(self, star4):
         c = Cascade([(0, 0.0), (1, 1.0)], 10.0)
         params = AsicParams.shared(0.5, 1.0)
-        got = (loglik("asic", star4, params, LINK, [c])
+        got = (loglik("asic", star4, params, [c])
                - math.log(h_asic(c, star4, params, LINK, 1)))
         assert got == pytest.approx(math.log(0.25), rel=1e-12)
 
     def test_finite_mode_value(self, chain2):
         c = Cascade([(0, 0.0)], 2.0)
         params = AsicParams.shared(0.5, 1.0)
-        assert loglik("asic", chain2, params, LINK, [c],
+        assert loglik("asic", chain2, params, [c],
                       "finite") == pytest.approx(
             math.log(0.5676676416183064), rel=1e-12)
 
     def test_finite_converges_to_infinite(self, chain2):
         params = AsicParams.shared(0.5, 2.0)
-        inf_val = math.exp(loglik("asic", chain2, params, LINK,
+        inf_val = math.exp(loglik("asic", chain2, params,
                                   [Cascade([(0, 0.0)], 5.0)]))
-        vals = [math.exp(loglik("asic", chain2, params, LINK,
+        vals = [math.exp(loglik("asic", chain2, params,
                                 [Cascade([(0, 0.0)], t)], "finite"))
                 for t in (10 / 2.0, 100 / 2.0)]
         assert vals[0] > vals[1] >= inf_val
@@ -269,7 +269,7 @@ class TestGAslt:
         params = AsltParams.per_link(
             g, link_array(g, "q", {(0, 2): 0.3, (1, 2): 0.3}),
             link_array(g, "r", {(0, 2): 1.0, (1, 2): 1.0}))
-        assert loglik("aslt", g, params, LINK, [c]) == pytest.approx(
+        assert loglik("aslt", g, params, [c]) == pytest.approx(
             math.log(0.7406005849709838), rel=1e-12)
 
     def test_active_node_rejected(self):
@@ -277,7 +277,7 @@ class TestGAslt:
         g = DirectedGraph(2, [(0, 1)])
         c = Cascade([(0, 0.0), (1, 1.0)], 2.0)
         params = AsltParams.shared(0.5, 1.0)
-        assert loglik("aslt", g, params, LINK, [c]) == pytest.approx(
+        assert loglik("aslt", g, params, [c]) == pytest.approx(
             math.log(h_aslt(c, g, params, LINK, 1)), rel=1e-12)
 
     def test_node_without_active_parent_rejected(self):
@@ -286,7 +286,7 @@ class TestGAslt:
         g = DirectedGraph(3, [(0, 1), (2, 1)])
         c = Cascade([(0, 0.0)], 2.0)
         params = AsltParams.shared(0.5, 1.0)
-        assert loglik("aslt", g, params, LINK, [c]) == pytest.approx(
+        assert loglik("aslt", g, params, [c]) == pytest.approx(
             math.log(0.5 + 0.25 * math.exp(-2.0) + 0.25), rel=1e-12)
 
     def test_long_window_leaves_slack_plus_inactive_weights(self):
@@ -295,7 +295,7 @@ class TestGAslt:
         params = AsltParams.per_link(
             g, link_array(g, "q", {(0, 2): 0.3, (1, 2): 0.3}),
             link_array(g, "r", {(0, 2): 1.0, (1, 2): 1.0}))
-        assert math.exp(loglik("aslt", g, params, LINK, [c])) == pytest.approx(
+        assert math.exp(loglik("aslt", g, params, [c])) == pytest.approx(
             0.7, abs=1e-12)
 
 
@@ -308,7 +308,7 @@ class TestWrongParameterClass:
         g, c = two_parent_case
         with pytest.raises(ParameterError, match=f"the {model} model needs "
                            f"{want}, got {type(params).__name__}"):
-            loglik(model, g, params, LINK, [c])
+            loglik(model, g, params, [c])
 
     @pytest.mark.parametrize("h, params, want", [
         (h_asic, AsltParams.shared(0.9, 1.0), "the asic model needs "
@@ -329,20 +329,20 @@ class TestLoglik:
         g = DirectedGraph(2, [])
         c = Cascade([(0, 0.0)], 1.0)
         params = AsicParams.shared(0.5, 1.0)
-        assert loglik("asic", g, params, LINK, [c]) == 0.0
+        assert loglik("asic", g, params, [c]) == 0.0
 
     def test_two_node_value(self, chain2):
         c = Cascade([(0, 0.0), (1, 1.0)], 10.0)
         params = AsicParams.shared(0.5, 1.0)
-        assert loglik("asic", chain2, params, LINK, [c]) == pytest.approx(
+        assert loglik("asic", chain2, params, [c]) == pytest.approx(
             -1.6931471805599454, rel=1e-12)
 
     def test_cascade_order_irrelevant(self, chain3):
         c1 = Cascade([(0, 0.0), (1, 1.0)], 10.0)
         c2 = Cascade([(1, 0.0), (2, 0.7)], 10.0)
         params = AsicParams.shared(0.4, 1.5)
-        a = loglik("asic", chain3, params, LINK, [c1, c2])
-        b = loglik("asic", chain3, params, LINK, [c2, c1])
+        a = loglik("asic", chain3, params, [c1, c2])
+        b = loglik("asic", chain3, params, [c2, c1])
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_impossible_event_gives_minus_inf_with_diagnostics(self):
@@ -350,7 +350,7 @@ class TestLoglik:
         c = Cascade([(0, 0.0), (2, 1.0)], 5.0)
         for model, params in (("asic", AsicParams.shared(0.5, 1.0)),
                               ("aslt", AsltParams.shared(0.5, 1.0))):
-            assert loglik(model, g, params, LINK, [c]) == -math.inf
+            assert loglik(model, g, params, [c]) == -math.inf
 
     def test_zero_factors_give_minus_inf(self, chain2):
         # p = 1 leaves no failure mass, and with exp(-r dt) underflowed
@@ -358,19 +358,10 @@ class TestLoglik:
         seed_only = Cascade([(0, 0.0)], 5.0)
         late = Cascade([(0, 0.0), (1, 1000.0)], 1001.0)
         sure = AsicParams.shared(1.0, 1.0)
-        assert loglik("asic", chain2, sure, LINK, [seed_only]) == -math.inf
-        assert loglik("asic", chain2, sure, LINK, [late]) == -math.inf
-        assert loglik("aslt", chain2, AsltParams.shared(1.0, 1.0), LINK,
+        assert loglik("asic", chain2, sure, [seed_only]) == -math.inf
+        assert loglik("asic", chain2, sure, [late]) == -math.inf
+        assert loglik("aslt", chain2, AsltParams.shared(1.0, 1.0),
                       [late]) == -math.inf
-
-    @pytest.mark.parametrize("model", ["asic", "aslt"])
-    @pytest.mark.parametrize("delay", [NODE_NO, NODE_OV])
-    def test_node_delay_refused(self, two_parent_case, model, delay):
-        g, c = two_parent_case
-        params = (AsicParams.shared(0.5, 1.0) if model == "asic"
-                  else AsltParams.shared(0.5, 1.0))
-        with pytest.raises(ParameterError, match="link delay"):
-            loglik(model, g, params, delay, [c])
 
     @pytest.mark.parametrize("model", ["asic", "aslt"])
     def test_per_link_params_must_cover_every_edge(self, model):
@@ -384,7 +375,7 @@ class TestLoglik:
     def test_out_of_range_node_rejected(self, chain2):
         c = Cascade([(0, 0.0), (5, 1.0)], 5.0)
         with pytest.raises(CascadeError):
-            loglik("asic", chain2, AsicParams.shared(0.5, 1.0), LINK, [c])
+            loglik("asic", chain2, AsicParams.shared(0.5, 1.0), [c])
 
     def test_matches_direct_transcription_on_random_instances(self):
         # Modular evaluation against a from-scratch reimplementation on
@@ -409,12 +400,12 @@ class TestLoglik:
             r_map = {e: rng.uniform(0.2, 3.0) for e in edge_list(g)}
             asic = AsicParams.per_link(g, link_array(g, "p", p_map),
                                        link_array(g, "r", r_map))
-            got = loglik("asic", g, asic, LINK, cascades)
+            got = loglik("asic", g, asic, cascades)
             want = loglik_asic_direct(up, down, event_dicts,
                                       lambda u, v: p_map[(u, v)],
                                       lambda u, v: r_map[(u, v)])
             _assert_ll_close(got, want)
-            got_fin = loglik("asic", g, asic, LINK, cascades,
+            got_fin = loglik("asic", g, asic, cascades,
                              horizon_mode="finite")
             want_fin = loglik_asic_direct(up, down, event_dicts,
                                           lambda u, v: p_map[(u, v)],
@@ -424,7 +415,7 @@ class TestLoglik:
             _assert_ll_close(got_fin, want_fin)
             q = rng.uniform(0.2, 1.0)
             aslt = AsltParams.shared(q, 0.9)
-            got_lt = loglik("aslt", g, aslt, LINK, cascades)
+            got_lt = loglik("aslt", g, aslt, cascades)
             want_lt = loglik_aslt_direct(
                 up, down, event_dicts, horizons,
                 lambda u, v: q / len(up[v]),

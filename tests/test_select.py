@@ -7,7 +7,7 @@ import difflab.select as select_mod
 from difflab import (AsicParams, AsltParams, Cascade, DelayMode,
                      EmConfig, InsufficientDataError, build_observation_periods,
                      erdos_renyi, generate_training_set,
-                     preferential_attachment, predictive_score, select_model)
+                     preferential_attachment, select_model)
 
 import oracles
 
@@ -77,9 +77,6 @@ class TestPredictiveScore:
                  if row["h_asic"] is not None]
         assert terms
         assert rep.score_asic == pytest.approx(np.mean(terms), rel=1e-12)
-        assert predictive_score("asic", g, [c],
-                                build_observation_periods([c]),
-                                config) == rep.score_asic
 
     def test_mean_arithmetic_via_stub(self):
         # Two cutoffs with densities e^-1 and e^-3 must average to 2.
@@ -103,7 +100,7 @@ class TestPredictiveScore:
         g, c = _spread_cascade()
         periods = build_observation_periods([c])
         config = EmConfig(max_iterations=3000, tolerance=1e-12)
-        warm = predictive_score("asic", g, [c], periods, config)
+        warm = select_model(g, [c], config).score_asic
         cold = select_mod._score("asic", list(oracles.cutoff_terms_per_topic(
             "asic", g, [c], periods, config, warm_start=False)))
         assert warm == pytest.approx(cold, abs=1e-6)

@@ -18,7 +18,7 @@ from difflab import (AsicParams, AsltParams, Cascade, DelayMode,
                      InsufficientDataError, ParameterError,
                      build_observation_periods, erdos_renyi, fit, fit_batch,
                      generate_training_set, h_asic, h_aslt, load_edge_list,
-                     preferential_attachment, predictive_score, select_model,
+                     preferential_attachment, select_model,
                      select_topics)
 from difflab.cli import main
 from difflab.params import PER_LINK
@@ -294,12 +294,11 @@ class TestFitBatch:
                             horizon_mode=horizon_mode)
         assert len(batched) == len(problems)
         for data, start, got in zip(problems, starts, batched):
-            try:
-                want = fit(model, g, data, config, init_params=start,
-                           horizon_mode=horizon_mode)
-            except EstimationError as exc:
+            (want,) = fit_batch(model, g, [data], config, [start],
+                                horizon_mode=horizon_mode)
+            if isinstance(want, EstimationError):
                 assert isinstance(got, EstimationError)
-                assert str(got) == str(exc)
+                assert str(got) == str(want)
                 continue
             assert repr(got[0]) == repr(want[0])
             assert repr(got[1]) == repr(want[1])
@@ -378,8 +377,5 @@ class TestPerLinkRefused:
         config = EmConfig(mode=PER_LINK)
         with pytest.raises(ParameterError, match="shared mode"):
             select_model(GRAPH, data, config)
-        with pytest.raises(ParameterError, match="shared mode"):
-            predictive_score("asic", GRAPH, data,
-                             build_observation_periods(data), config)
         with pytest.raises(ParameterError, match="shared mode"):
             select_topics(GRAPH, {"a": data}, config)
