@@ -21,8 +21,7 @@ from .cascade import (Cascade, CascadeSet, dumps_cascades, effective_parents,
                       loads_cascades, read_cascades, write_cascades)
 from .centrality import (RankedList, centrality, rank_by_score,
                          ranking_similarity)
-from .em import (EmConfig, EmTrace, fit, fit_batch, load_params, loglik,
-                 param_error, save_params)
+from .em import EmConfig, EmTrace, fit, fit_batch, loglik, param_error
 from .errors import (CascadeError, DiffLabError, EdgeListParseError,
                      EstimationError, GraphValidationError,
                      InsufficientDataError, ParameterError,
@@ -35,7 +34,7 @@ from .influence import (CumulativeInfluence, InfluenceTable,
 from .likelihood import (h_asic, h_aslt, x_density_asic, x_density_aslt,
                          y_survival_asic)
 from .params import (PER_LINK, SHARED, AsicParams, AsltParams, DelayMode,
-                     link_array)
+                     link_array, load_params, save_params)
 from .select import (ObservationPeriods, SelectionReport,
                      build_observation_periods, select_model, select_topics)
 from .simulate import generate_training_set, simulate_asic, simulate_aslt

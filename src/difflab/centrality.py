@@ -5,9 +5,10 @@ out-degree, closeness (reciprocal mean distance), betweenness (number of
 shortest paths passing through a node), and the random-surfer stationary
 distribution.  All operate on unit edge lengths and take no options; the
 random surfer's jump probability and stopping rule are module constants.
-Betweenness and the random surfer run on scipy sparse matrices, and import
-scipy on their first call; out-degree, closeness (a bit-parallel sweep in
-numpy) and the ranking helpers never load it.
+Betweenness runs on scipy sparse matrices, and imports scipy on its first
+call; out-degree, closeness (a bit-parallel sweep in numpy), the random
+surfer (a power iteration over the CSR arrays) and the ranking helpers
+never load it.
 """
 
 from __future__ import annotations
@@ -221,17 +222,15 @@ def pagerank_scores(g):
     Power iteration until the L1 residual drops to ``_TOLERANCE``.
     Dangling-node mass is redistributed uniformly.
     """
-    from scipy import sparse
     n = g.node_count
-    adj = _adjacency(g)
-    out_deg = np.asarray(adj.sum(axis=1)).ravel()
+    out_deg = np.diff(g.out_ptr)
     dangling = out_deg == 0
-    inv = np.where(dangling, 0.0, 1.0 / np.maximum(out_deg, 1.0))
-    transition = sparse.diags(inv) @ adj  # row-stochastic on non-dangling rows
-    transition_t = transition.T.tocsr()
+    inv = np.where(dangling, 0.0, 1.0 / np.maximum(out_deg, 1))
     x = np.full(n, 1.0 / n)
     for _ in range(_MAX_ITERATIONS):
-        spread = transition_t @ x + x[dangling].sum() / n
+        # each node passes inv * x to each child, in edge id order
+        spread = (np.bincount(g.heads, weights=(inv * x)[g.tails],
+                              minlength=n) + x[dangling].sum() / n)
         x_new = (1.0 - _JUMP) * spread + _JUMP / n
         if np.abs(x_new - x).sum() <= _TOLERANCE:
             x = x_new

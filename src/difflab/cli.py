@@ -1,9 +1,9 @@
 """Command-line interface: reproducible simulate / learn / select / rank runs.
 
-Every command writes its outputs plus a manifest JSON sidecar recording the
-resolved configuration, the seed, and digests of all input files.  Two runs
-with identical manifests (ignoring the duration field) produce byte-identical
-outputs.
+Every command writes its outputs; ``main`` then writes the one manifest
+JSON sidecar, recording the resolved configuration, the seed, and digests
+of all input files.  Two runs with identical manifests (ignoring the
+duration field) produce byte-identical outputs.
 
 Exit codes: 0 success, 1 parse or validation error, 2 usage error,
 3 simulation progress failure, 4 estimation failure.
@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 parse or validation error, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -22,24 +23,24 @@ from contextlib import contextmanager
 from . import __version__
 from .cascade import CascadeSet, read_cascades, write_cascades
 from .centrality import METRICS, centrality, rank_by_score
-from .em import EmConfig, fit, load_params, param_error, save_params
+from .em import EmConfig, fit, param_error
 from .errors import (CascadeError, DiffLabError, EstimationError,
                      SimulationProgressError)
 from .graph import load_edge_list
 from .influence import influence_direct_mc, influence_percolation
-from .params import PER_LINK, SHARED, AsicParams, AsltParams, DelayMode
+from .params import (PER_LINK, SHARED, AsicParams, AsltParams, DelayMode,
+                     load_params, save_params)
 # ``select_model`` stays a module attribute: perfbench's tracer wraps it here.
 from .select import select_model, select_topics  # noqa: F401
 from .simulate import generate_training_set
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_SIMULATION = 3
 EXIT_ESTIMATION = 4
 
-_DELAY_FLAGS = {"link": DelayMode.LINK,
-                "node-no": DelayMode.NODE_NON_OVERRIDE,
-                "node-ov": DelayMode.NODE_OVERRIDE}
+# The flags naming input files, each digested into the manifest.
+_INPUT_FLAGS = ("graph", "cascades", "topic_labels", "params", "truth",
+                "candidate")
 
 
 def _default_threads():
@@ -60,16 +61,20 @@ def _digest(path):
     return h.hexdigest()
 
 
-def _write_manifest(out_path, command, config, seed, inputs, started):
+def _write_manifest(args, started):
+    """The ``<out>.manifest.json`` sidecar of a finished command: its
+    parsed arguments, its ``--seed`` (null for commands without one) and a
+    digest of each input file it was given."""
+    inputs = (getattr(args, flag, None) for flag in _INPUT_FLAGS)
     manifest = {
-        "command": command,
-        "config": config,
-        "seed": seed,
+        "command": args.command,
+        "config": {k: v for k, v in vars(args).items() if k != "func"},
+        "seed": getattr(args, "seed", None),
         "inputs": {p: _digest(p) for p in inputs if p},
         "version": __version__,
         "duration_s": round(time.monotonic() - started, 6),
     }
-    with open(str(out_path) + ".manifest.json", "w", encoding="utf-8") as fh:
+    with open(str(args.out) + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -126,24 +131,18 @@ def _params_from_args(parser, args, model, g):
 
 
 def _cmd_simulate(parser, args):
-    started = time.monotonic()
     g = _load_graph(args.graph)
-    delay = _DELAY_FLAGS[args.delay]
     params = _params_from_args(parser, args, args.model, g)
     data = generate_training_set(
-        g, params, args.model, delay, args.target_active, args.min_len,
-        args.seed, max_attempts=args.max_attempts,
+        g, params, args.model, DelayMode(args.delay), args.target_active,
+        args.min_len, args.seed, max_attempts=args.max_attempts,
         horizon_margin=args.horizon_margin)
     write_cascades(args.out, data)
-    _write_manifest(args.out, "simulate", _config_dict(args), args.seed,
-                    [args.graph, args.params], started)
     print(f"wrote {len(data)} cascades, {data.total_active} active nodes "
           f"-> {args.out}")
-    return EXIT_OK
 
 
 def _cmd_learn(parser, args):
-    started = time.monotonic()
     g = _load_graph(args.graph)
     data = _read_cascades(args.cascades)
     mode = SHARED if args.mode == "shared" else PER_LINK
@@ -169,15 +168,11 @@ def _cmd_learn(parser, args):
     with open(str(args.out) + ".trace.json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(args.out, "learn", _config_dict(args), None,
-                    [args.graph, args.cascades], started)
     print(f"fit {args.model}/{args.mode}: iterations={trace.iterations} "
           f"converged={trace.converged} loglik={trace.loglik[-1]:.6f}")
-    return EXIT_OK
 
 
 def _cmd_select(parser, args):
-    started = time.monotonic()
     g = _load_graph(args.graph)
     data = _read_cascades(args.cascades)
     if args.topic_labels:
@@ -191,33 +186,22 @@ def _cmd_select(parser, args):
         with _reading(args.topic_labels):
             data = CascadeSet(data.cascades, data.ids, topics)
     config = EmConfig(tolerance=args.tol, max_iterations=args.max_iter)
-    reports = []
     results = select_topics(g, dict(sorted(data.by_topic().items())), config)
+    reports = []
     for topic, rep in results.items():
         if isinstance(rep, Exception):
             reports.append({"topic": topic, "skipped": True,
                             "reason": str(rep)})
-            continue
-        reports.append({
-            "topic": rep.topic,
-            "score_asic": rep.score_asic,
-            "score_aslt": rep.score_aslt,
-            "j": rep.j,
-            "chosen": rep.chosen,
-            "indeterminate": rep.indeterminate,
-            "cutoffs": rep.cutoffs,
-            "capped": rep.capped,
-            "skipped_cutoffs": rep.skipped,
-        })
+        else:
+            doc = dataclasses.asdict(rep)
+            doc["skipped_cutoffs"] = doc.pop("skipped")
+            reports.append(doc)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(reports, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(args.out, "select", _config_dict(args), None,
-                    [args.graph, args.cascades, args.topic_labels], started)
-    for rep in reports:
-        tag = "skipped" if rep.get("skipped") else rep["chosen"]
-        print(f"topic {rep['topic']}: {tag}")
-    return EXIT_OK
+    for topic, rep in results.items():
+        tag = "skipped" if isinstance(rep, Exception) else rep.chosen
+        print(f"topic {topic}: {tag}")
 
 
 def _influence_table(parser, args, g):
@@ -226,12 +210,11 @@ def _influence_table(parser, args, g):
         return influence_percolation(g, args.model, params, args.samples,
                                      args.seed, threads=args.threads)
     return influence_direct_mc(g, args.model, params,
-                               _DELAY_FLAGS[args.delay], args.samples,
+                               DelayMode(args.delay), args.samples,
                                args.seed, threads=args.threads)
 
 
 def _cmd_influence(parser, args):
-    started = time.monotonic()
     g = _load_graph(args.graph)
     table = _influence_table(parser, args, g)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -239,15 +222,11 @@ def _cmd_influence(parser, args):
         sigma, stderr = table.sigma.tolist(), table.stderr.tolist()
         for v in range(g.node_count):
             fh.write(f"{g.labels[v]},{sigma[v]!r},{stderr[v]!r}\n")
-    _write_manifest(args.out, "influence", _config_dict(args), args.seed,
-                    [args.graph, args.params], started)
     print(f"wrote influence table ({table.method}, {table.samples} samples) "
           f"-> {args.out}")
-    return EXIT_OK
 
 
 def _cmd_rank(parser, args):
-    started = time.monotonic()
     g = _load_graph(args.graph)
     if args.method in METRICS:
         ranked = centrality(g, args.method)
@@ -259,10 +238,7 @@ def _cmd_rank(parser, args):
         scores = ranked.scores.tolist()
         for rank, v in enumerate(ranked.order.tolist(), start=1):
             fh.write(f"{rank},{g.labels[v]},{scores[v]!r}\n")
-    _write_manifest(args.out, "rank", _config_dict(args), args.seed,
-                    [args.graph, args.params], started)
     print(f"wrote ranking ({args.method}) -> {args.out}")
-    return EXIT_OK
 
 
 def _read_ranked_csv(path):
@@ -298,7 +274,6 @@ def _read_ranked_csv(path):
 
 
 def _cmd_compare_rank(parser, args):
-    started = time.monotonic()
     if args.k < 1:
         parser.error("--k must be at least 1")
     truth = _read_ranked_csv(args.truth)
@@ -314,21 +289,15 @@ def _cmd_compare_rank(parser, args):
             truth_set.add(next(ti))
             cand_set.add(next(ci))
             fh.write(f"{k},{len(truth_set & cand_set) / k!r}\n")
-    _write_manifest(args.out, "compare-rank", _config_dict(args), None,
-                    [args.truth, args.candidate], started)
     print(f"wrote similarity curve (k=1..{kmax}) -> {args.out}")
-    return EXIT_OK
-
-
-def _config_dict(args):
-    skip = {"func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
 # -- parser -----------------------------------------------------------------
 
 
 def _add_param_flags(sp):
+    sp.add_argument("--delay", choices=[m.value for m in DelayMode],
+                    default=DelayMode.LINK.value)
     sp.add_argument("--p", type=float, help="shared diffusion probability")
     sp.add_argument("--q", type=float, help="shared weight coefficient")
     sp.add_argument("--r", type=float, help="shared delay rate")
@@ -345,7 +314,6 @@ def build_parser():
     sp = sub.add_parser("simulate", help="generate synthetic cascades")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--model", choices=("asic", "aslt"), required=True)
-    sp.add_argument("--delay", choices=tuple(_DELAY_FLAGS), default="link")
     _add_param_flags(sp)
     sp.add_argument("--target-active", type=int, required=True,
                     help="stop once this many active nodes are collected")
@@ -390,7 +358,6 @@ def build_parser():
     sp.add_argument("--model", choices=("asic", "aslt"), required=True)
     sp.add_argument("--method", choices=("percolation", "mc"),
                     default="percolation")
-    sp.add_argument("--delay", choices=tuple(_DELAY_FLAGS), default="link")
     _add_param_flags(sp)
     sp.add_argument("--samples", type=int, default=10_000)
     sp.add_argument("--seed", type=int, required=True)
@@ -403,7 +370,6 @@ def build_parser():
     sp.add_argument("--method",
                     choices=METRICS + ("percolation", "mc"), required=True)
     sp.add_argument("--model", choices=("asic", "aslt"), default="asic")
-    sp.add_argument("--delay", choices=tuple(_DELAY_FLAGS), default="link")
     _add_param_flags(sp)
     sp.add_argument("--samples", type=int, default=10_000)
     sp.add_argument("--seed", type=int, default=0)
@@ -425,8 +391,9 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(parser, args)
+        args.func(parser, args)
     except SimulationProgressError as exc:
         print(f"simulation failed to make progress: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
@@ -436,6 +403,8 @@ def main(argv=None) -> int:
     except DiffLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _write_manifest(args, started)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -39,7 +39,6 @@ minus the sum over its active parents.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -51,7 +50,7 @@ import numpy as np
 from .cascade import check_in_graph
 from .errors import EstimationError, ParameterError
 from .params import (PER_LINK, SHARED, AsicParams, AsltParams, DelayMode,
-                     check_model, link_array)
+                     check_model)
 
 _log = logging.getLogger(__name__)
 
@@ -860,48 +859,3 @@ def param_error(estimate: float, truth: float) -> float:
     if truth == 0:
         raise ParameterError("relative error undefined for a zero true value")
     return abs(estimate - truth) / abs(truth)
-
-
-# -- parameter file I/O ---------------------------------------------------------
-
-
-def save_params(path, model: str, params, g, iterations: int = 0,
-                loglik_value: float = math.nan) -> None:
-    """Write a fitted parameter set as a JSON document.  Per-link values
-    are keyed ``"u,v"`` by the internal ids of ``g``'s links."""
-    doc = {"model": model, "mode": params.mode,
-           "iterations": int(iterations), "loglik": loglik_value}
-    strength, r = params.strength, params.r
-    if params.mode != SHARED:
-        keys = [f"{u},{v}" for u, v in zip(g.tails.tolist(),
-                                            g.heads.tolist())]
-        strength, r = (dict(zip(keys, x.tolist())) for x in (strength, r))
-    doc["p" if model == "asic" else "q"], doc["r"] = strength, r
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_params(path, g):
-    """Read a parameter JSON document for graph ``g``; returns (model,
-    params).  A document without a known model, mode or parameter field,
-    with a malformed or out-of-range value, or whose per-link maps miss a
-    link of ``g`` or name one it lacks, raises ``ParameterError`` naming
-    the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    model = doc.get("model") if isinstance(doc, dict) else None
-    strength = "p" if model == "asic" else "q"
-    if (model not in ("asic", "aslt") or strength not in doc
-            or "r" not in doc or doc.get("mode") not in (SHARED, PER_LINK)):
-        raise ParameterError(
-            f'{path}: expected a JSON object with "model" (asic or aslt), '
-            '"mode" (shared or per_link), "p" or "q", and "r"')
-    cls = AsicParams if model == "asic" else AsltParams
-    try:
-        if doc["mode"] == SHARED:
-            return model, cls.shared(doc[strength], doc["r"])
-        return model, cls.per_link(g, link_array(g, strength, doc[strength]),
-                                   link_array(g, "r", doc["r"]))
-    except ParameterError as exc:
-        raise ParameterError(f"{path}: {exc}") from None

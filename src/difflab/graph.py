@@ -16,29 +16,32 @@ from .rng import derive_rng
 
 
 def _pair_array(edges, n):
-    """``edges`` as an (m, 2) ``np.intp`` array.  Raises naming the first
-    bad pair in input order: a self-link (even when out of range), an id
-    outside ``0..n-1``, or an id that is not an integer."""
-    pairs = edges if isinstance(edges, np.ndarray) else list(edges)
-    a = np.array(pairs) if len(pairs) else np.empty((0, 2), dtype=np.intp)
-    if a.dtype.kind not in "iu" or a.shape[1:] != (2,):
+    """``edges`` as an (m, 2) ``np.intp`` array.  An integer (m, 2) array
+    is taken whole; other input is read pair by pair.  Raises naming the
+    first bad pair in input order: a self-link (even when out of range),
+    an id outside ``0..n-1``, or an id that is not an integer (booleans,
+    which ``operator.index`` would take as 0 or 1, included)."""
+    if not (isinstance(edges, np.ndarray) and edges.dtype.kind in "iu"
+            and edges.shape[1:] == (2,)):
         ids = []
-        for u, v in pairs:
+        for u, v in edges:
             try:
+                if isinstance(u, bool) or isinstance(v, bool):
+                    raise TypeError
                 ids.append((index(u), index(v)))
             except TypeError:
-                _pair_array(ids, n)  # a bad pair before this one comes first
+                _pair_array(np.array(ids, dtype=np.intp).reshape(-1, 2), n)
                 raise GraphValidationError(f"edge ({u!r}, {v!r}): node ids "
                                            "must be integers") from None
-        a = np.array(ids)
-    u, v = a[:, 0], a[:, 1]
+        edges = np.array(ids, dtype=np.intp).reshape(-1, 2)
+    u, v = edges[:, 0], edges[:, 1]
     bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
     if bad.any():
         u, v = int(u[bad][0]), int(v[bad][0])
         raise GraphValidationError(
             f"self-link ({u}, {v}) is not allowed" if u == v else
             f"edge ({u}, {v}) references a node outside 0..{n - 1}")
-    return a.astype(np.intp, copy=False)
+    return edges.astype(np.intp, copy=False)
 
 
 class DirectedGraph:
@@ -163,7 +166,8 @@ def load_edge_list(text: str) -> DirectedGraph:
             raise GraphValidationError(
                 f"line {lineno}: self-link ({ue}, {ve}) is not allowed")
         edges.append((intern(ue), intern(ve)))
-    return DirectedGraph(len(labels), edges, labels=labels)
+    pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    return DirectedGraph(len(labels), pairs, labels=labels)
 
 
 def dumps_edge_list(g: DirectedGraph) -> str:
@@ -200,7 +204,7 @@ def erdos_renyi(n: int, p_edge: float, seed: int) -> DirectedGraph:
             for v in range(n):
                 if u != v and rand() < p_edge:
                     edges.append((u, v))
-    return DirectedGraph(n, edges)
+    return DirectedGraph(n, np.array(edges, dtype=np.intp).reshape(-1, 2))
 
 
 def preferential_attachment(n: int, m: int, seed: int) -> DirectedGraph:
@@ -234,5 +238,5 @@ def preferential_attachment(n: int, m: int, seed: int) -> DirectedGraph:
     for a, b in undirected:
         edges.append((a, b))
         edges.append((b, a))
-    return DirectedGraph(n, edges)
+    return DirectedGraph(n, np.array(edges, dtype=np.intp).reshape(-1, 2))
 

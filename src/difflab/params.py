@@ -1,5 +1,5 @@
-"""Model parameter containers, the delay-semantics switch and the one
-reader of parameter values.
+"""Model parameter containers, the delay-semantics switch, the one
+reader of parameter values and the parameter file.
 
 Both diffusion models carry a delay-rate parameter ``r`` and a strength
 parameter (diffusion probability ``p`` for the cascade model, link weight
@@ -12,13 +12,15 @@ coefficient ``q`` for the threshold model).  Parameters come in two modes:
 
 ``edge_values`` is the one reader of parameter values: it spreads either
 mode over edge ids.  ``link_array`` turns a ``{(u, v): value}`` map, the
-form of per-link parameter files, into an edge array.  ``check_model``
-refuses the parameters of one model where the other model's are needed.
+form of per-link parameter files, into an edge array; ``save_params`` and
+``load_params`` write and read those files.  ``check_model`` refuses the
+parameters of one model where the other model's are needed.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 import math
 from operator import index
 
@@ -247,3 +249,48 @@ def check_model(model, params):
     if not isinstance(params, cls):
         raise ParameterError(f"the {model} model needs {cls.__name__}, "
                              f"got {type(params).__name__}")
+
+
+# -- parameter file I/O ----------------------------------------------------
+
+
+def save_params(path, model: str, params, g, iterations: int = 0,
+                loglik_value: float = math.nan) -> None:
+    """Write a fitted parameter set as a JSON document.  Per-link values
+    are keyed ``"u,v"`` by the internal ids of ``g``'s links."""
+    doc = {"model": model, "mode": params.mode,
+           "iterations": int(iterations), "loglik": loglik_value}
+    strength, r = params.strength, params.r
+    if params.mode != SHARED:
+        keys = [f"{u},{v}" for u, v in zip(g.tails.tolist(),
+                                            g.heads.tolist())]
+        strength, r = (dict(zip(keys, x.tolist())) for x in (strength, r))
+    doc["p" if model == "asic" else "q"], doc["r"] = strength, r
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_params(path, g):
+    """Read a parameter JSON document for graph ``g``; returns (model,
+    params).  A document without a known model, mode or parameter field,
+    with a malformed or out-of-range value, or whose per-link maps miss a
+    link of ``g`` or name one it lacks, raises ``ParameterError`` naming
+    the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    model = doc.get("model") if isinstance(doc, dict) else None
+    strength = "p" if model == "asic" else "q"
+    if (model not in ("asic", "aslt") or strength not in doc
+            or "r" not in doc or doc.get("mode") not in (SHARED, PER_LINK)):
+        raise ParameterError(
+            f'{path}: expected a JSON object with "model" (asic or aslt), '
+            '"mode" (shared or per_link), "p" or "q", and "r"')
+    cls = AsicParams if model == "asic" else AsltParams
+    try:
+        if doc["mode"] == SHARED:
+            return model, cls.shared(doc[strength], doc["r"])
+        return model, cls.per_link(g, link_array(g, strength, doc[strength]),
+                                   link_array(g, "r", doc["r"]))
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None

@@ -79,25 +79,26 @@ def build_observation_periods(data) -> ObservationPeriods:
 
 
 def _cut(data, tau):
-    """The earliest activation at or past tau, as (time, cascade index,
-    node), or None; and the non-empty truncated cascades."""
-    held = min(((t, m, v) for m, c in enumerate(data) for v, t in c.events
-                if t >= tau), default=None)
-    if held is None:
-        return None, []
+    """The earliest activation at or past the cutoff tau, an activation
+    time of ``data``, as (time, cascade index, node); and the non-empty
+    truncated cascades."""
+    held = min((t, m, v) for m, c in enumerate(data) for v, t in c.events
+               if t >= tau)
     return held, [c for c in (c.truncated(tau) for c in data) if len(c)]
 
 
 def _lockstep_terms(g, topics, em_config):
-    """The cutoff rows of every model on every topic.
+    """The cutoff rows of every topic, and each model's capped refits.
 
     ``topics`` holds (data, periods) per topic, or ``None`` for a topic to
     leave out.  At cutoff rank k, each model refits the k-th cutoff of
     every topic in one ``fit_batch`` call, each warm-started from its own
-    last fitted cutoff.  Returns model -> one list of rows per topic, one
-    row (tau, node, time, h, capped) per cutoff: ``capped`` flags a refit
-    stopped at the iteration cap, and node, time and h are ``None`` for a
-    cutoff whose truncated data cannot be fitted.
+    last fitted cutoff.  Returns one list of rows per topic, one row
+    ``{"tau", "node", "time", "h_asic", "h_aslt"}`` per cutoff, and
+    model -> the number of refits per topic stopped at the iteration cap.
+    ``node`` and ``time`` are the held-out activation, which does not
+    depend on the model; ``h_<model>`` is ``None`` when that model's
+    truncated data cannot be fitted.
 
     The held-out event is the first of its cascade at or past tau, so the
     parents active before it are the ones active before tau, and its
@@ -108,13 +109,16 @@ def _lockstep_terms(g, topics, em_config):
     """
     if em_config is None:
         em_config = EmConfig()
-    rows = {m: [[] for _ in topics] for m in MODELS}
+    rows = [[] for _ in topics]
+    capped = {m: [0] * len(topics) for m in MODELS}
     prev = {m: [None] * len(topics) for m in MODELS}
     ranks = max((len(t[1]) for t in topics if t is not None), default=0)
     for k in range(ranks):
         cuts = {i: (t[1].cutoffs[k], *_cut(t[0], t[1].cutoffs[k]))
                 for i, t in enumerate(topics)
                 if t is not None and k < len(t[1])}
+        for i, (tau, (t_held, _, v_held), _) in cuts.items():
+            rows[i].append({"tau": tau, "node": v_held, "time": t_held})
         batch = [i for i, (_, _, kept) in cuts.items() if kept]
         for model in MODELS:
             # Looked up here, not at import: perfbench's tracer wraps them.
@@ -123,29 +127,27 @@ def _lockstep_terms(g, topics, em_config):
                                 em_config, [prev[model][i] for i in batch],
                                 horizon_mode="finite")
             fitted = dict(zip(batch, results))
-            for i, (tau, held, _) in cuts.items():
-                result = fitted.get(i)
-                if result is None or isinstance(result, EstimationError):
-                    rows[model][i].append((tau, None, None, None, False))
-                    continue
-                params, trace = result
-                prev[model][i] = params
-                t_held, m_held, v_held = held
-                h = h_model(topics[i][0][m_held], g, params, DelayMode.LINK,
-                            v_held)
-                rows[model][i].append((tau, v_held, t_held, h,
-                                       not trace.converged))
-    return rows
+            for i, (_, (_, m_held, v_held), _) in cuts.items():
+                h = None
+                if i in fitted and not isinstance(fitted[i], EstimationError):
+                    params, trace = fitted[i]
+                    prev[model][i] = params
+                    capped[model][i] += not trace.converged
+                    h = h_model(topics[i][0][m_held], g, params,
+                                DelayMode.LINK, v_held)
+                rows[i][-1][f"h_{model}"] = h
+    return rows, capped
 
 
 def _score(model, rows):
-    """Mean negative log-density over the scored cutoff rows.  Cutoffs
-    whose truncation cannot be fitted are skipped, and a held-out density
-    of zero makes the score +inf."""
+    """Mean negative log-density over the cutoff rows with an ``h_<model>``.
+    Cutoffs whose truncation cannot be fitted are skipped, and a held-out
+    density of zero makes the score +inf."""
     total = 0.0
     n = 0
-    for _, node, _, h, _ in rows:
-        if node is None:
+    for row in rows:
+        h = row[f"h_{model}"]
+        if h is None:
             continue
         total += math.inf if h == 0.0 else -math.log(h)
         n += 1
@@ -155,14 +157,15 @@ def _score(model, rows):
     return total / n
 
 
-def _report(topic, rows):
-    """The report of one topic from each model's cutoff rows.
+def _report(topic, rows, capped):
+    """The report of one topic from its cutoff rows and each model's
+    count of capped refits.
 
     Near-ties (|difference| < 1e-12) are flagged indeterminate and resolved
     to the cascade model by convention.
     """
-    score_asic = _score("asic", rows["asic"])
-    score_aslt = _score("aslt", rows["aslt"])
+    score_asic = _score("asic", rows)
+    score_aslt = _score("aslt", rows)
     diff = score_aslt - score_asic  # positive favors the cascade model
     if math.isnan(diff):
         # Both scores infinite; nothing separates the models.
@@ -176,12 +179,10 @@ def _report(topic, rows):
         j=abs(diff),
         chosen=chosen,
         indeterminate=indeterminate,
-        cutoffs=[{"tau": tau, "node": node, "time": t, "h_asic": h,
-                  "h_aslt": other[3]}
-                 for (tau, node, t, h, _), other in zip(rows["asic"],
-                                                       rows["aslt"])],
-        skipped={m: sum(row[1] is None for row in rows[m]) for m in MODELS},
-        capped={m: sum(row[4] for row in rows[m]) for m in MODELS},
+        cutoffs=rows,
+        skipped={m: sum(row[f"h_{m}"] is None for row in rows)
+                 for m in MODELS},
+        capped=capped,
     )
 
 
@@ -216,7 +217,7 @@ def select_topics(g, topics, em_config=None) -> dict:
             plans[topic] = exc
             continue
         check_in_graph(g, data)
-    rows = _lockstep_terms(
+    rows, capped = _lockstep_terms(
         g, [None if isinstance(periods, Exception) else (topics[t], periods)
             for t, periods in plans.items()], em_config)
     out = {}
@@ -225,7 +226,8 @@ def select_topics(g, topics, em_config=None) -> dict:
             out[topic] = periods
             continue
         try:
-            out[topic] = _report(topic, {m: rows[m][i] for m in MODELS})
+            out[topic] = _report(topic, rows[i],
+                                 {m: capped[m][i] for m in MODELS})
         except InsufficientDataError as exc:
             out[topic] = exc
     return out

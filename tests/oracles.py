@@ -476,6 +476,25 @@ def closeness_bfs(n, edges):
     return scores
 
 
+def pagerank_sparse(n, edges, jump=0.15, tol=1e-10):
+    """The package's earlier random surfer: power iteration with a scipy
+    transition matrix, dangling mass spread uniformly."""
+    edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    adj = sparse.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                            shape=(n, n))
+    out_deg = np.asarray(adj.sum(axis=1)).ravel()
+    dangling = out_deg == 0
+    inv = np.where(dangling, 0.0, 1.0 / np.maximum(out_deg, 1.0))
+    transition_t = (sparse.diags(inv) @ adj).T.tocsr()
+    x = np.full(n, 1.0 / n)
+    while True:
+        x_new = ((1.0 - jump) * (transition_t @ x + x[dangling].sum() / n)
+                 + jump / n)
+        if np.abs(x_new - x).sum() <= tol:
+            return x_new
+        x = x_new
+
+
 # -- reference dense all-pairs centrality ---------------------------------------
 
 

@@ -11,7 +11,8 @@ from difflab.centrality import (betweenness_scores, closeness_scores,
 from difflab.rng import derive_rng
 
 from oracles import (betweenness_bruteforce, betweenness_dense,
-                     closeness_bfs, closeness_dense, edge_list)
+                     closeness_bfs, closeness_dense, edge_list,
+                     pagerank_sparse)
 
 # The package re-exports the function ``centrality`` under the module's name.
 centrality_module = importlib.import_module("difflab.centrality")
@@ -257,6 +258,15 @@ class TestPagerank:
         scores = pagerank_scores(chain3)
         assert scores.sum() == pytest.approx(1.0, abs=1e-9)
         assert (scores > 0).all()
+
+    @pytest.mark.parametrize("g", [
+        preferential_attachment(2000, 3, 1), erdos_renyi(300, 0.01, 2),
+        erdos_renyi(50, 0.08, 3), DirectedGraph(4, [(0, 1), (0, 2), (2, 0)]),
+        DirectedGraph(1, [])], ids=["pa", "er-sparse", "er", "dangling",
+                                    "one-node"])
+    def test_equals_sparse_matrix_iteration(self, g):
+        assert np.array_equal(pagerank_scores(g),
+                              pagerank_sparse(g.node_count, edge_list(g)))
 
 
 class TestRankedList:

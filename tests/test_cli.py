@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -583,7 +584,7 @@ class TestInputErrors:
 
 
 class TestScipyLoadedOnlyBySparseSolvers:
-    """Only percolation, betweenness and pagerank import scipy."""
+    """Only percolation and betweenness import scipy."""
 
     _SCRIPT = """
 import json, sys
@@ -624,19 +625,21 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
              "--out", ranked],
             ["rank", "--graph", graph_file, "--method", "closeness",
              "--out", tmp_path / "close.csv"],
+            ["rank", "--graph", graph_file, "--method", "pagerank",
+             "--out", tmp_path / "pagerank.csv"],
             ["compare-rank", "--truth", ranked, "--candidate", ranked,
              "--k", "5", "--out", tmp_path / "sim.csv"],
         ]
         assert self._loaded(*commands) == "[]"
 
-    def test_sparse_solvers_load_scipy(self, tmp_path, graph_file):
-        commands = [
-            ["influence", *self._influence(graph_file, "percolation",
-                                           tmp_path / "p.csv")],
-            ["rank", "--graph", graph_file, "--method", "betweenness",
-             "--out", tmp_path / "b.csv"],
-        ]
-        assert "'scipy.sparse'" in self._loaded(*commands)
+    @pytest.mark.parametrize("solver", ["percolation", "betweenness"])
+    def test_sparse_solvers_load_scipy(self, tmp_path, graph_file, solver):
+        out = tmp_path / "out.csv"
+        command = (
+            ["influence", *self._influence(graph_file, solver, out)]
+            if solver == "percolation" else
+            ["rank", "--graph", graph_file, "--method", solver, "--out", out])
+        assert "'scipy.sparse'" in self._loaded(command)
 
 
 class TestThreadsDefault:
@@ -648,6 +651,54 @@ class TestThreadsDefault:
         assert _default_threads() >= 1
         monkeypatch.delenv("DIFFLAB_THREADS")
         assert _default_threads() >= 1
+
+
+class TestManifest:
+    def test_every_command_writes_its_manifest(self, tmp_path, graph_file):
+        def path(name):
+            return str(tmp_path / name)
+
+        graph = str(graph_file)
+        casc, params, labels = path("c.jsonl"), path("p.json"), path("l.json")
+        commands = [
+            ("simulate", 5, {graph},
+             ["--graph", graph, "--model", "asic", "--p", "0.3", "--r",
+              "1.0", "--target-active", "120", "--min-len", "3", "--seed",
+              "5", "--out", casc]),
+            ("learn", None, {graph, casc},
+             ["--graph", graph, "--cascades", casc, "--model", "asic",
+              "--max-iter", "5", "--out", params]),
+            ("select", None, {graph, casc, labels},
+             ["--graph", graph, "--cascades", casc, "--topic-labels", labels,
+              "--max-iter", "5", "--out", path("s.json")]),
+            ("influence", 4, {graph, params},
+             ["--graph", graph, "--model", "asic", "--params", params,
+              "--samples", "20", "--seed", "4", "--threads", "1", "--out",
+              path("i.csv")]),
+            ("rank", 0, {graph},
+             ["--graph", graph, "--method", "outdegree", "--out",
+              path("deg.csv")]),
+            ("rank", 0, {graph},
+             ["--graph", graph, "--method", "closeness", "--out",
+              path("close.csv")]),
+            ("compare-rank", None, {path("deg.csv"), path("close.csv")},
+             ["--truth", path("deg.csv"), "--candidate", path("close.csv"),
+              "--k", "5", "--out", path("sim.csv")]),
+        ]
+        for command, seed, inputs, argv in commands:
+            if command == "select":
+                with open(casc) as fh:
+                    first = json.loads(fh.readline())["id"]
+                Path(labels).write_text(json.dumps({first: "a"}))
+            assert _run([command, *argv]) == 0
+            out = argv[argv.index("--out") + 1]
+            manifest = _strip_duration(out + ".manifest.json")
+            assert (manifest["command"], manifest["seed"],
+                    set(manifest["inputs"])) == (command, seed, inputs)
+            assert manifest["config"]["out"] == out
+            for name, digest in manifest["inputs"].items():
+                assert digest == hashlib.sha256(
+                    Path(name).read_bytes()).hexdigest()
 
 
 class TestEndToEndReproducibility:

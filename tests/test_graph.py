@@ -232,8 +232,18 @@ class TestDirectedGraph:
             DirectedGraph(3, pairs)
 
     def test_integer_types_accepted(self):
-        g = DirectedGraph(3, [(np.int64(0), np.int32(2)), (True, 2)])
+        g = DirectedGraph(3, [(np.int64(0), np.int32(2)), (1, np.uint8(2))])
         assert edge_list(g) == [(0, 2), (1, 2)]
+
+    @pytest.mark.parametrize("pairs,message", [
+        ([(True, False)],
+         r"^edge \(True, False\): node ids must be integers$"),
+        ([(0, 1), (True, 2)],
+         r"^edge \(True, 2\): node ids must be integers$"),
+    ])
+    def test_boolean_ids_rejected(self, pairs, message):
+        with pytest.raises(GraphValidationError, match=message):
+            DirectedGraph(3, pairs)
 
     def test_duplicates_counted_by_graph(self):
         g = DirectedGraph(3, [(0, 1), (0, 1), (1, 2), (0, 1)],

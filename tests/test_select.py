@@ -5,9 +5,10 @@ import pytest
 
 import difflab.select as select_mod
 from difflab import (AsicParams, AsltParams, Cascade, DelayMode,
-                     EmConfig, InsufficientDataError, build_observation_periods,
-                     erdos_renyi, generate_training_set,
-                     preferential_attachment, select_model)
+                     EmConfig, EstimationError, InsufficientDataError,
+                     build_observation_periods, erdos_renyi,
+                     generate_training_set, preferential_attachment,
+                     select_model)
 
 import oracles
 
@@ -62,10 +63,10 @@ def _spread_cascade(n_extra=8, gap=0.5):
     return g, Cascade(events, t + 1.0)
 
 
-def _row(tau, node, h, capped=False):
-    """One cutoff row (tau, node, time, h, capped); the held-out event of
-    these stubs happens at tau."""
-    return (tau, node, None if node is None else tau, h, capped)
+def _row(tau, node, h_asic, h_aslt=None):
+    """One cutoff row; the held-out event of these stubs happens at tau."""
+    return {"tau": tau, "node": node, "time": tau, "h_asic": h_asic,
+            "h_aslt": h_aslt}
 
 
 class TestPredictiveScore:
@@ -88,21 +89,23 @@ class TestPredictiveScore:
         assert select_mod._score("asic", [_row(1.0, 7, 0.0)]) == math.inf
 
     def test_skipped_cutoffs_shrink_the_average(self):
-        rows = [_row(1.0, None, None), _row(2.0, 7, math.exp(-4))]
+        rows = [_row(1.0, 6, None), _row(2.0, 7, math.exp(-4))]
         assert select_mod._score("asic", rows) == pytest.approx(4.0)
 
     def test_no_scored_cutoff_names_the_model(self):
         with pytest.raises(InsufficientDataError,
                            match="no cutoff could be scored for model aslt"):
-            select_mod._score("aslt", [_row(1.0, None, None)])
+            select_mod._score("aslt", [_row(1.0, 7, math.exp(-1))])
 
     def test_cold_start_matches_warm_start_at_tight_tolerance(self):
         g, c = _spread_cascade()
         periods = build_observation_periods([c])
         config = EmConfig(max_iterations=3000, tolerance=1e-12)
         warm = select_model(g, [c], config).score_asic
-        cold = select_mod._score("asic", list(oracles.cutoff_terms_per_topic(
-            "asic", g, [c], periods, config, warm_start=False)))
+        cold = select_mod._score("asic", [
+            _row(tau, node, h) for tau, node, _, h, _ in
+            oracles.cutoff_terms_per_topic("asic", g, [c], periods, config,
+                                           warm_start=False)])
         assert warm == pytest.approx(cold, abs=1e-6)
 
 
@@ -117,24 +120,47 @@ class TestSelectModel:
         assert rep.j == pytest.approx(abs(rep.score_asic - rep.score_aslt))
 
     def test_tie_flagged_indeterminate_and_resolved_to_asic(self):
-        rows = [_row(1.0, 7, math.exp(-2))]
-        rep = select_mod._report("default", {"asic": rows, "aslt": rows})
+        rows = [_row(1.0, 7, math.exp(-2), math.exp(-2))]
+        rep = select_mod._report("default", rows, {"asic": 0, "aslt": 0})
         assert rep.indeterminate
         assert rep.chosen == "asic"
         assert rep.j == 0.0
 
     def test_skipped_counted_per_model(self):
-        rows = {"asic": [_row(1.0, None, None), _row(2.0, 7, math.exp(-2)),
-                         _row(3.0, 8, math.exp(-1))],
-                "aslt": [_row(1.0, None, None), _row(2.0, None, None),
-                         _row(3.0, 8, math.exp(-1), capped=True)]}
-        rep = select_mod._report("default", rows)
+        rows = [_row(1.0, 6, None, None), _row(2.0, 7, math.exp(-2), None),
+                _row(3.0, 8, math.exp(-1), math.exp(-1))]
+        rep = select_mod._report("default", rows, {"asic": 0, "aslt": 1})
         assert rep.skipped == {"asic": 1, "aslt": 2}
         assert rep.capped == {"asic": 0, "aslt": 1}
         assert rep.cutoffs[1] == {"tau": 2.0, "node": 7, "time": 2.0,
                                   "h_asic": math.exp(-2), "h_aslt": None}
         assert rep.score_asic == pytest.approx(1.5)
         assert rep.score_aslt == pytest.approx(1.0)
+
+    def test_failed_refit_keeps_the_held_out_event(self, monkeypatch):
+        # Only the cascade model's first refit fails.  The held-out event
+        # does not depend on the model, so its row keeps node and time and
+        # marks the failure with a null h_asic.
+        g, c = _spread_cascade()
+        config = EmConfig(max_iterations=40)
+        whole = select_model(g, [c], config)
+        real, asic_calls = select_mod.fit_batch, []
+
+        def fit_batch(model, *args, **kwargs):
+            results = real(model, *args, **kwargs)
+            if model == "asic":
+                asic_calls.append(1)
+                if len(asic_calls) == 1:
+                    return [EstimationError("stub")] * len(results)
+            return results
+
+        monkeypatch.setattr(select_mod, "fit_batch", fit_batch)
+        rep = select_model(g, [c], config)
+        assert rep.cutoffs[0] == {**whole.cutoffs[0], "h_asic": None}
+        assert rep.skipped == {"asic": 1, "aslt": 0}
+        assert ([(r["node"], r["time"], r["h_aslt"]) for r in rep.cutoffs]
+                == [(r["node"], r["time"], r["h_aslt"])
+                    for r in whole.cutoffs])
 
     def test_identifies_asic_truth_on_long_cascade(self):
         # Sparse regime (diffusion probability below 1/mean-degree) where a
