@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from operator import index
 
+from ._files import write_text
 from .errors import CascadeError
 
 
@@ -196,8 +197,10 @@ def loads_cascades(text: str) -> CascadeSet:
 
 
 def write_cascades(path, cs: CascadeSet) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_cascades(cs))
+    """Write ``cs`` to ``path`` as JSON lines.  An existing regular file
+    is replaced by a new one, not truncated; ``OSError`` if the path
+    cannot be written."""
+    write_text(path, dumps_cascades(cs))
 
 
 def read_cascades(path) -> CascadeSet:

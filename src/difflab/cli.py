@@ -3,7 +3,10 @@
 Every command writes its outputs; ``main`` then writes the one manifest
 JSON sidecar, recording the resolved configuration, the seed, and digests
 of all input files.  Two runs with identical manifests (ignoring the
-duration field) produce byte-identical outputs.
+duration field) produce byte-identical outputs.  Each output goes through
+``_files.write_text``: an existing regular file is replaced by a new file,
+not truncated.  An output that cannot be written exits 1 with an error
+naming the file.
 
 Exit codes: 0 success, 1 parse or validation error, 2 usage error,
 3 simulation progress failure, 4 estimation failure.
@@ -21,6 +24,7 @@ import time
 from contextlib import contextmanager
 
 from . import __version__
+from ._files import write_json, write_text
 from .cascade import CascadeSet, read_cascades, write_cascades
 from .centrality import METRICS, centrality, rank_by_score
 from .em import EmConfig, fit, param_error
@@ -74,9 +78,9 @@ def _write_manifest(args, started):
         "version": __version__,
         "duration_s": round(time.monotonic() - started, 6),
     }
-    with open(str(args.out) + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path = str(args.out) + ".manifest.json"
+    with _writing(path):
+        write_json(path, manifest)
 
 
 @contextmanager
@@ -96,6 +100,16 @@ def _reading(path):
                            f"{exc.lineno} column {exc.colno}") from None
     except CascadeError as exc:
         raise CascadeError(f"{path}: {exc}") from None
+
+
+@contextmanager
+def _writing(path):
+    """Report an output file that cannot be written as an error naming
+    the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise DiffLabError(f"{path}: {exc.strerror or exc}") from None
 
 
 def _load_graph(path):
@@ -137,7 +151,8 @@ def _cmd_simulate(parser, args):
         g, params, args.model, DelayMode(args.delay), args.target_active,
         args.min_len, args.seed, max_attempts=args.max_attempts,
         horizon_margin=args.horizon_margin)
-    write_cascades(args.out, data)
+    with _writing(args.out):
+        write_cascades(args.out, data)
     print(f"wrote {len(data)} cascades, {data.total_active} active nodes "
           f"-> {args.out}")
 
@@ -150,8 +165,10 @@ def _cmd_learn(parser, args):
                       init_r=args.init_r, tolerance=args.tol,
                       max_iterations=args.max_iter, mode=mode)
     params, trace = fit(args.model, g, data, config)
-    save_params(args.out, args.model, params, g, iterations=trace.iterations,
-                loglik_value=trace.loglik[-1])
+    with _writing(args.out):
+        save_params(args.out, args.model, params, g,
+                    iterations=trace.iterations,
+                    loglik_value=trace.loglik[-1])
     sidecar = {
         "loglik": trace.loglik,
         "iterations": trace.iterations,
@@ -165,9 +182,9 @@ def _cmd_learn(parser, args):
             sidecar[key] = param_error(params.strength, truth_strength)
         if args.truth_r is not None:
             sidecar["E_r"] = param_error(params.r, args.truth_r)
-    with open(str(args.out) + ".trace.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path = str(args.out) + ".trace.json"
+    with _writing(path):
+        write_json(path, sidecar)
     print(f"fit {args.model}/{args.mode}: iterations={trace.iterations} "
           f"converged={trace.converged} loglik={trace.loglik[-1]:.6f}")
 
@@ -196,9 +213,8 @@ def _cmd_select(parser, args):
             doc = dataclasses.asdict(rep)
             doc["skipped_cutoffs"] = doc.pop("skipped")
             reports.append(doc)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(reports, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _writing(args.out):
+        write_json(args.out, reports)
     for topic, rep in results.items():
         tag = "skipped" if isinstance(rep, Exception) else rep.chosen
         print(f"topic {topic}: {tag}")
@@ -217,11 +233,11 @@ def _influence_table(parser, args, g):
 def _cmd_influence(parser, args):
     g = _load_graph(args.graph)
     table = _influence_table(parser, args, g)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("node,sigma,stderr\n")
-        sigma, stderr = table.sigma.tolist(), table.stderr.tolist()
-        for v in range(g.node_count):
-            fh.write(f"{g.labels[v]},{sigma[v]!r},{stderr[v]!r}\n")
+    sigma, stderr = table.sigma.tolist(), table.stderr.tolist()
+    rows = [f"{g.labels[v]},{sigma[v]!r},{stderr[v]!r}\n"
+            for v in range(g.node_count)]
+    with _writing(args.out):
+        write_text(args.out, "node,sigma,stderr\n" + "".join(rows))
     print(f"wrote influence table ({table.method}, {table.samples} samples) "
           f"-> {args.out}")
 
@@ -233,11 +249,11 @@ def _cmd_rank(parser, args):
     else:
         table = _influence_table(parser, args, g)
         ranked = rank_by_score(table.sigma)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("rank,node,score\n")
-        scores = ranked.scores.tolist()
-        for rank, v in enumerate(ranked.order.tolist(), start=1):
-            fh.write(f"{rank},{g.labels[v]},{scores[v]!r}\n")
+    scores = ranked.scores.tolist()
+    rows = [f"{rank},{g.labels[v]},{scores[v]!r}\n"
+            for rank, v in enumerate(ranked.order.tolist(), start=1)]
+    with _writing(args.out):
+        write_text(args.out, "rank,node,score\n" + "".join(rows))
     print(f"wrote ranking ({args.method}) -> {args.out}")
 
 
@@ -281,14 +297,13 @@ def _cmd_compare_rank(parser, args):
     kmax = min(args.k, len(truth), len(cand))
     if kmax < 1:
         parser.error("rankings are empty")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("k,similarity\n")
-        truth_set, cand_set = set(), set()
-        ti, ci = iter(truth), iter(cand)
-        for k in range(1, kmax + 1):
-            truth_set.add(next(ti))
-            cand_set.add(next(ci))
-            fh.write(f"{k},{len(truth_set & cand_set) / k!r}\n")
+    rows, truth_set, cand_set = [], set(), set()
+    for k, t, c in zip(range(1, kmax + 1), truth, cand):
+        truth_set.add(t)
+        cand_set.add(c)
+        rows.append(f"{k},{len(truth_set & cand_set) / k!r}\n")
+    with _writing(args.out):
+        write_text(args.out, "k,similarity\n" + "".join(rows))
     print(f"wrote similarity curve (k=1..{kmax}) -> {args.out}")
 
 
@@ -394,6 +409,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         args.func(parser, args)
+        _write_manifest(args, started)
     except SimulationProgressError as exc:
         print(f"simulation failed to make progress: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
@@ -403,7 +419,6 @@ def main(argv=None) -> int:
     except DiffLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_manifest(args, started)
     return EXIT_OK
 
 

@@ -13,7 +13,9 @@ coefficient ``q`` for the threshold model).  Parameters come in two modes:
 ``edge_values`` is the one reader of parameter values: it spreads either
 mode over edge ids.  ``link_array`` turns a ``{(u, v): value}`` map, the
 form of per-link parameter files, into an edge array; ``save_params`` and
-``load_params`` write and read those files.  ``check_model`` refuses the
+``load_params`` write and read those files, ``save_params`` through
+``_files.write_json``, which replaces an existing file with a new one
+instead of truncating it.  ``check_model`` refuses the
 parameters of one model where the other model's are needed.
 """
 
@@ -26,6 +28,7 @@ from operator import index
 
 import numpy as np
 
+from ._files import write_json
 from .errors import ParameterError
 
 SHARED = "shared"
@@ -257,7 +260,9 @@ def check_model(model, params):
 def save_params(path, model: str, params, g, iterations: int = 0,
                 loglik_value: float = math.nan) -> None:
     """Write a fitted parameter set as a JSON document.  Per-link values
-    are keyed ``"u,v"`` by the internal ids of ``g``'s links."""
+    are keyed ``"u,v"`` by the internal ids of ``g``'s links.  An existing
+    regular file is replaced by a new one, not truncated; ``OSError`` if
+    the path cannot be written."""
     doc = {"model": model, "mode": params.mode,
            "iterations": int(iterations), "loglik": loglik_value}
     strength, r = params.strength, params.r
@@ -266,9 +271,7 @@ def save_params(path, model: str, params, g, iterations: int = 0,
                                             g.heads.tolist())]
         strength, r = (dict(zip(keys, x.tolist())) for x in (strength, r))
     doc["p" if model == "asic" else "q"], doc["r"] = strength, r
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_params(path, g):

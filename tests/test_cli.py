@@ -701,6 +701,112 @@ class TestManifest:
                     Path(name).read_bytes()).hexdigest()
 
 
+COMMANDS = ("simulate", "learn", "select", "influence", "rank",
+            "compare-rank")
+
+
+def _command(name, tmp_path, graph_file):
+    """The arguments of one run of ``name`` before ``--out``, with the
+    inputs it reads written under ``tmp_path / "in"``."""
+    inp = tmp_path / "in"
+    inp.mkdir()
+    casc, params = inp / "c.jsonl", inp / "p.json"
+    deg, close = inp / "deg.csv", inp / "close.csv"
+    for argv in (["simulate", "--graph", graph_file, "--model", "asic",
+                  "--p", "0.3", "--r", "1.0", "--target-active", "120",
+                  "--min-len", "3", "--seed", "5", "--out", casc],
+                 ["learn", "--graph", graph_file, "--cascades", casc,
+                  "--model", "asic", "--max-iter", "5", "--out", params],
+                 ["rank", "--graph", graph_file, "--method", "outdegree",
+                  "--out", deg],
+                 ["rank", "--graph", graph_file, "--method", "closeness",
+                  "--out", close]):
+        assert _run(argv) == 0
+    return {
+        "simulate": ["simulate", "--graph", graph_file, "--model", "aslt",
+                     "--q", "0.8", "--r", "1.0", "--target-active", "60",
+                     "--min-len", "3", "--seed", "6"],
+        "learn": ["learn", "--graph", graph_file, "--cascades", casc,
+                  "--model", "aslt", "--max-iter", "5"],
+        "select": ["select", "--graph", graph_file, "--cascades", casc,
+                   "--max-iter", "5"],
+        "influence": ["influence", "--graph", graph_file, "--model", "asic",
+                      "--params", params, "--samples", "20", "--seed", "4",
+                      "--threads", "1"],
+        "rank": ["rank", "--graph", graph_file, "--method", "pagerank"],
+        "compare-rank": ["compare-rank", "--truth", deg, "--candidate",
+                         close, "--k", "5"],
+    }[name]
+
+
+class TestOutputFiles:
+    """Each output replaces an existing regular file with a new file, is
+    written through a symlink, and one that cannot be written exits 1 with
+    one ``error:`` line naming it."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_rerun_writes_new_files_with_equal_bytes(self, tmp_path,
+                                                     graph_file, command):
+        argv = _command(command, tmp_path, graph_file)
+        out, old = tmp_path / "out", tmp_path / "old"
+        out.mkdir()
+        old.mkdir()
+        assert _run([*argv, "--out", out / "result"]) == 0
+        written = sorted(p.name for p in out.iterdir())
+        assert written == sorted(
+            ["result", "result.manifest.json"]
+            + (["result.trace.json"] if command == "learn" else []))
+        for name in written:
+            os.link(out / name, old / name)
+        assert _run([*argv, "--out", out / "result"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == written
+        for name in written:
+            assert (out / name).stat().st_ino != (old / name).stat().st_ino
+            if name.endswith(".manifest.json"):
+                assert _strip_duration(out / name) == _strip_duration(
+                    old / name)
+            else:
+                assert (out / name).read_bytes() == (old / name).read_bytes()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_symlinked_out_is_written_through(self, tmp_path, graph_file,
+                                              command):
+        argv = _command(command, tmp_path, graph_file)
+        plain, target, link = (tmp_path / name
+                               for name in ("plain", "target", "link"))
+        assert _run([*argv, "--out", plain]) == 0
+        target.write_text("stale\n")
+        link.symlink_to(target)
+        assert _run([*argv, "--out", link]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/result", "No such file or directory"),
+        ("a_dir", "Is a directory"),
+    ])
+    def test_unwritable_out_exits_1(self, tmp_path, capsys, graph_file,
+                                    command, where, reason):
+        argv = _command(command, tmp_path, graph_file)
+        (tmp_path / "a_dir").mkdir()
+        out = tmp_path / where
+        capsys.readouterr()
+        assert _run([*argv, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {out}: {reason}\n"
+
+    @pytest.mark.parametrize("sidecar", [".manifest.json", ".trace.json"])
+    def test_unwritable_sidecar_exits_1(self, tmp_path, capsys, graph_file,
+                                        sidecar):
+        argv = _command("learn", tmp_path, graph_file)
+        out = tmp_path / "params.json"
+        blocked = Path(str(out) + sidecar)
+        blocked.mkdir()
+        capsys.readouterr()
+        assert _run([*argv, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {blocked}: Is a directory\n"
+
+
 class TestEndToEndReproducibility:
     def test_full_pipeline_reproducible(self, tmp_path, graph_file):
         outs = []
